@@ -18,7 +18,6 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from .core import (
-    ActionSet,
     ArrivalModel,
     BatteryModel,
     ConsumptionMap,
@@ -134,12 +133,6 @@ class PartitionPolicy:
 
 
 Policy = Union[StatePolicy, PartitionPolicy]
-
-
-def check_policy_actions(policy: Policy, actions: ActionSet) -> None:
-    for a in policy.actions:
-        if a not in actions:
-            raise ConfigurationError(f"policy action {a} not in action set")
 
 
 # ---------------------------------------------------------------------------

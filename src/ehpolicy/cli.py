@@ -39,7 +39,7 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--out", default="out", help="output directory")
         cmd.add_argument("--seed", type=int, help="override the config seed")
         cmd.add_argument("--threads", type=int, default=1,
-                         help="worker processes for sweep points")
+                         help="worker processes for sweep points (1 to the CPU count)")
     return parser
 
 

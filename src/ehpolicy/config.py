@@ -44,7 +44,6 @@ class BatteryConfig:
     frame_length: float = 1.0
     slot_length: float = 0.005
     quantum_joules: float = 1e-5
-    integration_steps: int = 256
 
     @classmethod
     def from_dict(cls, d: dict) -> "BatteryConfig":
@@ -73,7 +72,6 @@ class BatteryConfig:
             efficiency=profile,
             frame_length_t=self.frame_length,
             slot_length_delta=self.slot_length,
-            integration_steps=self.integration_steps,
         )
 
 

@@ -2,10 +2,10 @@
 
 Energy is quantized: the battery holds an integer number of quanta in
 {0..e_max}. Charging during a frame follows the continuous dynamics
-dy/dt = (b/T) * eta(y), integrated with fixed-step RK4, after which the
-level is floored back onto the quantum grid (flooring never creates
-energy, which keeps the discrete chain consistent with the continuous
-throughput bound).
+dy/dt = (b/T) * eta(y), solved exactly for each efficiency profile, after
+which the level is floored back onto the quantum grid (flooring never
+creates energy, which keeps the discrete chain consistent with the
+continuous throughput bound).
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ import numpy as np
 
 from .errors import DomainError
 
-# Snap tolerance before flooring: absorbs integrator round-off so exact
-# integer levels (e.g. lossless charging) are not floored down a quantum.
+# Snap tolerance before flooring: absorbs the flow's floating-point round-off
+# so exact integer levels (e.g. lossless charging) are not floored down a quantum.
 _FLOOR_EPS = 1e-9
 
 
@@ -85,7 +85,8 @@ def efficiency_at(profile: EfficiencyProfile, e, e_max: int):
 
 
 def _efficiency_unchecked(profile, y, e_max):
-    """Efficiency evaluated without the domain check (integrator internals)."""
+    """Efficiency evaluated without the domain check; past [0, e_max] the quadratic
+    profile extends its parabola and the tabulated one holds its end values."""
     if isinstance(profile, ConstantEfficiency):
         return np.full_like(np.asarray(y, dtype=float), profile.eta)
     if isinstance(profile, QuadraticCapacitor):
@@ -109,7 +110,6 @@ class BatteryModel:
     efficiency: EfficiencyProfile
     frame_length_t: float = 1.0
     slot_length_delta: float = 0.005
-    integration_steps: int = 256
 
     def __post_init__(self):
         if self.e_max < 1:
@@ -118,8 +118,6 @@ class BatteryModel:
             raise DomainError("frame and slot lengths must be positive")
         if self.slot_length_delta >= self.frame_length_t:
             raise DomainError("slot length must be shorter than the frame")
-        if self.integration_steps < 1:
-            raise DomainError("integration_steps must be >= 1")
         # eta must be strictly positive everywhere so recharge never stalls
         grid = np.linspace(0.0, self.e_max, 101)
         eff = _efficiency_unchecked(self.efficiency, grid, self.e_max)
@@ -127,38 +125,52 @@ class BatteryModel:
             raise DomainError("efficiency profile must map [0, e_max] into (0, 1]")
 
 
-def _rk4_charge(battery: BatteryModel, y0: np.ndarray, b, saturate: bool) -> np.ndarray:
-    """Integrate dy/dt = (b/T) eta(y) over one frame, vectorized over start levels.
+def _over_slope(fn, m, x):
+    """fn(m * x) / m, with its limit x at slope m = 0."""
+    safe = np.where(m == 0.0, 1.0, m)
+    return np.where(m == 0.0, x, fn(m * x) / safe)
 
-    ``b`` may be a scalar or an array broadcastable against ``y0``. With
-    ``saturate`` the level freezes at e_max (a full battery cannot keep
-    charging); without it the raw ODE solution is returned, which is what
-    the storage bound needs.
-    """
+
+def _tabulated_flow(values, e_max, y0, s):
+    """Flow of dy/ds = eta(y) for eta linear between evenly spaced knots. On a segment
+    of slope m entered at efficiency v, the level rises by v expm1(m t) / m in time t,
+    and a rise dy takes t = log1p(m dy / v) / m. Past the last knot eta stays at its
+    last value, as np.interp does."""
+    vals = np.asarray(values)
+    n_seg = len(vals) - 1
+    width = e_max / n_seg
+    knots = np.linspace(0.0, e_max, n_seg + 1)
+    slope = np.append(np.diff(vals) / width, 0.0)
+    # flow time from level 0 to each knot, then to y0 and to the frame's end
+    t_knot = np.cumsum(np.append(0.0, _over_slope(np.log1p, slope[:-1], width / vals[:-1])))
+    k = np.clip(np.searchsorted(knots, y0, side="right") - 1, 0, n_seg - 1)
+    t_end = t_knot[k] + _over_slope(np.log1p, slope[k], (y0 - knots[k]) / vals[k]) + s
+    k = np.searchsorted(t_knot, t_end, side="right") - 1
+    return knots[k] + vals[k] * _over_slope(np.expm1, slope[k], t_end - t_knot[k])
+
+
+def _charge_flow(battery: BatteryModel, y0, b, saturate: bool) -> np.ndarray:
+    """Exact solution of dy/dt = (b/T) eta(y) over one frame, broadcast over ``y0``, ``b``.
+
+    Time is normalized to the frame, so the level follows dy/ds = eta(y) for s = b.
+    The flow only rises, so ``saturate`` (a full battery stops charging) caps it at
+    e_max; the storage bound needs the raw, unclipped solution."""
     e_max = battery.e_max
     prof = battery.efficiency
-    y = np.array(y0, dtype=float, copy=True)
-    h = 1.0 / battery.integration_steps  # time normalized to the frame
-    c = np.asarray(b, dtype=float)
-    if np.all(c == 0.0):
-        return y
-
-    if saturate:
-        def f(yy):
-            return c * _efficiency_unchecked(prof, np.minimum(yy, e_max), e_max)
+    y0, s = np.broadcast_arrays(np.asarray(y0, dtype=float), np.asarray(b, dtype=float))
+    if isinstance(prof, ConstantEfficiency):
+        y = y0 + prof.eta * s
+    elif isinstance(prof, QuadraticCapacitor):
+        # u = (y - e_max/2) / scale obeys du/ds = (1 - u^2) / scale
+        half = e_max / 2.0
+        scale = half * math.sqrt(prof.beta_nl)
+        y = half + scale * np.tanh(np.arctanh((y0 - half) / scale) + s / scale)
+    elif isinstance(prof, TabulatedEfficiency):
+        y = _tabulated_flow(prof.values, e_max, y0, s)
     else:
-        def f(yy):
-            return c * _efficiency_unchecked(prof, yy, e_max)
-
-    for _ in range(battery.integration_steps):
-        k1 = f(y)
-        k2 = f(y + 0.5 * h * k1)
-        k3 = f(y + 0.5 * h * k2)
-        k4 = f(y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if saturate:
-            np.minimum(y, e_max, out=y)
-    return y
+        raise TypeError(f"unknown efficiency profile: {prof!r}")
+    y = np.where(s == 0.0, y0, y)  # tanh(artanh(u)) can miss u by an ulp
+    return np.minimum(y, e_max) if saturate else y
 
 
 def integrate_frame(battery: BatteryModel, e_start: float, b: int, *, saturate: bool = True) -> float:
@@ -170,7 +182,7 @@ def integrate_frame(battery: BatteryModel, e_start: float, b: int, *, saturate: 
         raise DomainError(f"e_start {e_start} outside [0, {battery.e_max}]")
     if b < 0:
         raise DomainError(f"arrivals must be nonnegative, got {b}")
-    return float(_rk4_charge(battery, np.asarray([e_start]), b, saturate)[0])
+    return float(_charge_flow(battery, e_start, b, saturate))
 
 
 def _floor_level(y):
@@ -193,13 +205,9 @@ def battery_step(battery: BatteryModel, e: int, d: int, b: int) -> int:
 @lru_cache(maxsize=64)
 def next_state_table(battery: BatteryModel, b_max: int) -> np.ndarray:
     """Table[e_start, b] of post-frame integer states for e_start in 0..e_max, b in 0..b_max."""
-    n = battery.e_max + 1
-    table = np.empty((n, b_max + 1), dtype=np.int64)
-    starts = np.arange(n, dtype=float)
-    for b in range(b_max + 1):
-        y = _rk4_charge(battery, starts, b, saturate=True)
-        table[:, b] = np.minimum(_floor_level(y), battery.e_max)
-    return table
+    starts = np.arange(battery.e_max + 1, dtype=float)[:, None]
+    y = _charge_flow(battery, starts, np.arange(b_max + 1), saturate=True)
+    return np.minimum(_floor_level(y), battery.e_max).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------

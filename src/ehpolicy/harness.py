@@ -281,9 +281,13 @@ def _sweep_point(args):
                 g_upper_bound=bound.g_ub, g_ideal_bound=bound.g_ideal,
                 wall_time_s=time.perf_counter() - t0, error=str(exc))
 
+    solved = []  # one RVI solve serves optimal_perfect and low_complexity
+
     def perfect():
-        return solve_perfect_soc(
-            models.battery, models.arrivals, models.cons, models.reward, models.actions)
+        if not solved:
+            solved.append(solve_perfect_soc(
+                models.battery, models.arrivals, models.cons, models.reward, models.actions))
+        return solved[0]
 
     def searched():
         return _run_search(cfg, models, partition).best_policy
@@ -307,6 +311,11 @@ def _sweep_point(args):
 
 
 def run_sweep(cfg: ScenarioConfig, out_dir, threads: int = 1) -> list:
+    import os
+
+    limit = os.cpu_count() or 1
+    if not 1 <= threads <= limit:
+        raise EHPolicyError(f"--threads counts worker processes, 1 to {limit}; got {threads}")
     e_values = cfg.sweep.e_max or [cfg.battery.e_max]
     bands = cfg.sweep.bands or [cfg.consumption.band]
     points = [(cfg, e, band) for band in bands for e in e_values]

@@ -24,7 +24,7 @@ from .core import (
     BatteryModel,
     ConsumptionMap,
     RewardModel,
-    _rk4_charge,
+    _charge_flow,
     validate_recharge_hypothesis,
 )
 from .errors import BudgetExceededError, ConvergenceError, UnsupportedPartitionError
@@ -191,22 +191,14 @@ class BoundReport:
     g_ideal: float               # reward at the raw mean arrival (lossless bound)
 
 
-def _increments(battery: BatteryModel, a_levels: np.ndarray, b: int) -> np.ndarray:
-    """Unclipped stored increment y_T(a, b) - a for an array of start levels."""
-    y = _rk4_charge(battery, a_levels, b, saturate=False)
-    return y - a_levels
-
-
 def beta_star(battery: BatteryModel, b: int):
     """Maximum storable increment for an arrival of ``b`` quanta, over continuous
     start levels in [0, e_max]; returns (a_star, beta).
 
-    The increment is evaluated without the capacity clip so overflow is not
-    conflated with storage loss. Coarse grid seeding plus golden-section
-    refinement.
+    The increment is evaluated on the exact charging flow without the
+    capacity clip, so overflow is not conflated with storage loss. Coarse
+    grid seeding plus golden-section refinement.
     """
-    if b == 0:
-        return 0.0, 0.0
     a_star, beta = _beta_star_vec(battery, [b])
     return float(a_star[0]), float(beta[0])
 
@@ -217,15 +209,13 @@ def _beta_star_vec(battery: BatteryModel, bs):
     e_max = battery.e_max
     grid = np.linspace(0.0, e_max, 257)
 
-    a_mesh, b_mesh = np.meshgrid(grid, b_arr)
-    inc = _rk4_charge(battery, a_mesh.ravel(), b_mesh.ravel(), saturate=False)
-    inc = inc.reshape(a_mesh.shape) - a_mesh
+    inc = _charge_flow(battery, grid, b_arr[:, None], saturate=False) - grid
     k = inc.argmax(axis=1)
     a_lo = grid[np.maximum(k - 1, 0)]
     a_hi = grid[np.minimum(k + 1, len(grid) - 1)]
 
     def f(a):
-        return _rk4_charge(battery, a, b_arr, saturate=False) - a
+        return _charge_flow(battery, a, b_arr, saturate=False) - a
 
     # golden-section over all arrival sizes in lockstep
     c = a_hi - _GOLDEN * (a_hi - a_lo)

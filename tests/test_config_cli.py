@@ -1,8 +1,9 @@
 import csv
+import os
 
 import pytest
 
-from ehpolicy import ScenarioConfig, get_preset, preset_names
+from ehpolicy import ScenarioConfig, get_preset, harness, preset_names
 from ehpolicy.cli import main
 from ehpolicy.config import ActionConfig, PartitionConfig
 from ehpolicy.core import DeviceTableConsumption, IdentityConsumption
@@ -61,6 +62,11 @@ class TestConfig:
     def test_unknown_nested_key(self):
         with pytest.raises(ConfigurationError):
             ScenarioConfig.from_dict({"battery": {"e_max": 10, "volts": 3}})
+
+    def test_integration_steps_key_is_gone(self):
+        # the charging flow is exact, so the old RK4 step count is an unknown key
+        with pytest.raises(ConfigurationError):
+            ScenarioConfig.from_dict({"battery": {"e_max": 10, "integration_steps": 256}})
 
     def test_bad_policy_source(self):
         with pytest.raises(ConfigurationError):
@@ -237,6 +243,19 @@ class TestCli:
         main(["sweep", "--config", str(swept), "--out", str(parallel),
               "--threads", "2"])
         assert _stable_rows(serial) == _stable_rows(parallel)
+
+    @pytest.mark.parametrize("threads", [0, -1, (os.cpu_count() or 1) + 1])
+    def test_sweep_threads_checked_before_pool(self, small_config, tmp_path, capsys,
+                                               monkeypatch, threads):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was created")
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(small_config), "--out", str(out),
+                     "--threads", str(threads)]) == 2
+        assert "worker processes" in capsys.readouterr().err
+        assert not (out / "results.csv").exists()
 
     def test_preset_runs_without_config_file(self, tmp_path):
         out = tmp_path / "out"

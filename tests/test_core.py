@@ -105,6 +105,22 @@ class TestIntegrateFrame:
         got = integrate_frame(BASELINE, 0.0, 50)
         assert got == pytest.approx(quad_closed_form(0.0, 50, 100, 1.05), abs=1e-6)
 
+    def test_tabulated_matches_fine_rk4(self, rk4_charge):
+        # independent oracle: RK4 fine enough to step across the knots at 50
+        bat = BatteryModel(e_max=100, efficiency=TabulatedEfficiency((0.2, 1.0, 0.2)))
+        starts = np.arange(101.0)
+        want = rk4_charge(bat, starts[:, None], np.array([7, 20, 50]), steps=20000)
+        for j, b in enumerate((7, 20, 50)):
+            got = [integrate_frame(bat, e, b, saturate=False) for e in starts]
+            assert got == pytest.approx(want[:, j], abs=1e-7)
+
+    def test_tabulated_flat_segment_and_saturation(self):
+        # eta = 0.5 on [0, 50] then rising: linear until the knot, capped at e_max
+        bat = BatteryModel(e_max=100, efficiency=TabulatedEfficiency((0.5, 0.5, 1.0)))
+        assert integrate_frame(bat, 10.0, 40) == pytest.approx(30.0, abs=1e-12)
+        assert integrate_frame(bat, 90.0, 50) == 100.0
+        assert integrate_frame(bat, 100.0, 7, saturate=False) == pytest.approx(107.0)
+
     @settings(max_examples=30, deadline=None)
     @given(e=st.floats(0, 100), b=st.integers(0, 50))
     def test_output_bounds(self, e, b):

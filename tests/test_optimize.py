@@ -175,11 +175,10 @@ class TestBetaStar:
         betas = [beta_star(BASELINE, b)[1] for b in range(0, 51, 5)]
         assert all(x < y for x, y in zip(betas, betas[1:]))
 
-    def test_grid_oracle_agreement(self):
-        # dense grid search over start levels as an independent check
+    def test_grid_oracle_agreement(self, rk4_charge):
+        # dense grid search over start levels, charged by RK4, as an independent check
         grid = np.linspace(0.0, 100.0, 20001)
-        from ehpolicy.core import _rk4_charge
-        inc = _rk4_charge(BASELINE, grid, 20, saturate=False) - grid
+        inc = rk4_charge(BASELINE, grid, 20, steps=256) - grid
         _, beta = beta_star(BASELINE, 20)
         assert beta == pytest.approx(float(inc.max()), abs=1e-7)
 
