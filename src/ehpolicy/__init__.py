@@ -13,7 +13,6 @@ from .chain import (  # noqa: F401
     build_chain,
     evaluate_policy,
     exact_occupation,
-    long_run_average,
     simulate,
 )
 from .core import (  # noqa: F401

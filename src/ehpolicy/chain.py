@@ -26,9 +26,10 @@ from .core import (
     next_state_table,
     sample_arrivals,
 )
-from .errors import ConfigurationError, ConvergenceError, DomainError, NumericError
+from .errors import ConfigurationError, DomainError, NumericError
 
 _EDGE_EPS = 1e-15  # probabilities below this do not count as edges
+_SIM_CHUNK = 1 << 16  # arrivals drawn per chunk by simulate
 
 
 # ---------------------------------------------------------------------------
@@ -202,55 +203,12 @@ def _check_stochastic(transition: np.ndarray) -> np.ndarray:
     return p
 
 
-def long_run_average(transition: np.ndarray, state_reward: np.ndarray, e0: int,
-                     tol: float = 1e-10, max_iter: int = 10 ** 6):
-    """Limiting occupation from a point mass at ``e0`` and the induced average reward.
-
-    Power iteration with a running (Cesaro) average. Iteration uses the lazy
-    kernel (P + I)/2, which has the same recurrent classes, per-class
-    stationary laws and absorption weights as P but is aperiodic, so the
-    iterates themselves converge and periodic chains do not stall the
-    average. Returns (g, pi).
-    """
-    p = _check_stochastic(transition)
-    r = np.asarray(state_reward, dtype=float)
-    n = p.shape[0]
-    if not 0 <= e0 < n:
-        raise DomainError(f"initial state {e0} out of range")
-
-    lazy = 0.5 * (p + np.eye(n))
-    v = np.zeros(n)
-    v[e0] = 1.0
-    avg = v.copy()
-    for k in range(1, max_iter + 1):
-        v_next = v @ lazy
-        step = np.abs(v_next - v).sum()
-        v = v_next
-        avg_next = avg + (v - avg) / (k + 1.0)
-        diff = np.abs(avg_next - avg).sum()
-        avg = avg_next
-        if step < 1e-14:
-            # v reached the lazy chain's fixed point; that fixed point IS the
-            # Cesaro limit, so skip the slow tail of the averaging.
-            avg = v
-            break
-        if diff < tol:
-            break
-    else:
-        raise ConvergenceError(
-            f"occupation did not converge in {max_iter} iterations", residual=diff)
-
-    avg = np.maximum(avg, 0.0)
-    avg /= avg.sum()
-    return float(avg @ r), avg
-
-
 def exact_occupation(transition: np.ndarray, e0: int) -> np.ndarray:
     """Algebraic limiting occupation from ``e0``: absorption weights into each
     recurrent class reachable from e0, times the class stationary laws.
 
-    Same mathematical object as long_run_average's output; used where many
-    chains must be evaluated quickly.
+    This is the Cesaro limit of the state distribution started at e0, found
+    by graph search and dense solves rather than by iterating the chain.
     """
     p = _check_stochastic(transition)
     n = p.shape[0]
@@ -361,6 +319,8 @@ def simulate(battery: BatteryModel, arrivals: ArrivalModel, cons: ConsumptionMap
     """
     if frames < 1:
         raise DomainError("need at least one frame")
+    if not 0 <= e0 <= battery.e_max:
+        raise DomainError(f"initial state {e0} out of range")
     rng = np.random.default_rng(seed)
     table = next_state_table(battery, arrivals.b_max)
     acts = policy.action_vector(battery.e_max)
@@ -369,12 +329,20 @@ def simulate(battery: BatteryModel, arrivals: ArrivalModel, cons: ConsumptionMap
         attained_reward(reward, cons, int(a), e) for e, a in enumerate(acts)
     ])
 
-    draws = sample_arrivals(arrivals, rng, frames)
+    # the recursion runs on plain ints: step[e][b] is the level after a frame
+    # that starts at e and harvests b quanta
+    step = [table[max(0, e - d)].tolist() for e, d in enumerate(dvec.tolist())]
     states = np.empty(frames, dtype=np.int64)
     e = int(e0)
-    for k in range(frames):
-        states[k] = e
-        e = table[max(0, e - dvec[e]), draws[k]]
+    for lo in range(0, frames, _SIM_CHUNK):
+        # chunked draws continue one generator stream, so they equal a single draw
+        draws = sample_arrivals(arrivals, rng, min(_SIM_CHUNK, frames - lo)).tolist()
+        visited = []
+        visit = visited.append
+        for b in draws:
+            visit(e)
+            e = step[e][b]
+        states[lo:lo + len(visited)] = visited
 
     rewards = jvec[states]
     mean = float(rewards.mean())

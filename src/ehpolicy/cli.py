@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from .config import ScenarioConfig
@@ -53,7 +54,7 @@ def _load_config(args) -> ScenarioConfig:
     else:
         raise EHPolicyError("one of --config or --preset is required")
     if args.seed is not None:
-        cfg.seed = args.seed
+        cfg = dataclasses.replace(cfg, seed=args.seed)  # re-runs the config checks
     return cfg
 
 

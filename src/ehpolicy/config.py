@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import asdict, dataclass, field
 
 import yaml
@@ -26,6 +27,10 @@ from .core import (
 from .errors import ConfigurationError
 
 _POLICY_SOURCES = ("solve", "search", "lcp", "bp", "fixed", "cross_apply")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _take(d: dict, section: str, allowed: set):
@@ -246,6 +251,13 @@ class ScenarioConfig:
     include_ideal: bool = False      # also run the lossless-battery twin (solve)
     sweep: SweepConfig = field(default_factory=SweepConfig)
     search: SearchConfig = field(default_factory=SearchConfig)
+
+    def __post_init__(self):
+        # checked here so that a bad value fails before any policy is solved
+        if not _is_int(self.frames) or self.frames < 1:
+            raise ConfigurationError(f"frames must be an integer >= 1, got {self.frames!r}")
+        if not _is_int(self.seed) or self.seed < 0:
+            raise ConfigurationError(f"seed must be an integer >= 0, got {self.seed!r}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioConfig":

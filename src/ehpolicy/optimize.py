@@ -61,15 +61,23 @@ def solve_perfect_soc(battery: BatteryModel, arrivals: ArrivalModel, cons: Consu
 
     rows = charge_matrix(battery, arrivals)
     h = np.zeros(n)
+    # every sweep writes into these, so no (state, action) temporary is allocated
+    z = np.empty(n)
+    h_new = np.empty(n)
+    buf = np.empty(start_of.shape)
     span = math.inf
     for _ in range(max_sweeps):
-        z = rows @ h
-        q = j + 0.5 * h[:, None] + 0.5 * z[start_of]
-        h_new = q.max(axis=1)
+        np.matmul(rows, h, out=z)
+        z *= 0.5
+        np.take(z, start_of, out=buf)
+        buf += j
+        buf.max(axis=1, out=h_new)
+        # the idle half of the lazy kernel is the same for every action
+        h_new += 0.5 * h
         h_new -= h_new[0]
         delta = h_new - h
         span = float(delta.max() - delta.min())
-        h = h_new
+        h, h_new = h_new, h
         if span < span_tol:
             break
     else:

@@ -1,13 +1,34 @@
-"""Shared oracle: a plain fixed-step RK4 of the charging ODE.
+"""Shared oracles: independent second methods for what the library computes.
 
-The library charges with the exact flow of each efficiency profile; this
-integrator is a second, independent method for the same ODE.
+- ``rk4_levels``: a plain fixed-step RK4 of the charging ODE; the library
+  charges with the exact flow of each efficiency profile.
+- ``long_run_average``: power iteration for the limiting occupation; the
+  library finds recurrent classes by graph search and solves them directly.
+- ``simulate_reference``: the Monte Carlo recursion one frame at a time on
+  a single up-front array of draws; the library steps plain ints in chunks.
+- ``rvi_reference``: relative value iteration with fresh (state, action)
+  arrays every sweep; the library reuses preallocated buffers.
 """
+
+import math
 
 import numpy as np
 import pytest
 
-from ehpolicy.core import _efficiency_unchecked
+from ehpolicy.chain import (
+    SimulationReport,
+    StatePolicy,
+    _check_stochastic,
+    charge_matrix,
+    consumption_vector,
+)
+from ehpolicy.core import (
+    _efficiency_unchecked,
+    attained_reward,
+    next_state_table,
+    sample_arrivals,
+)
+from ehpolicy.errors import ConvergenceError, DomainError
 
 
 def rk4_levels(battery, y0, b, steps):
@@ -30,6 +51,131 @@ def rk4_levels(battery, y0, b, steps):
     return y
 
 
+def long_run_average(transition, state_reward, e0, tol=1e-10, max_iter=10 ** 6):
+    """Limiting occupation from a point mass at ``e0`` and the induced average reward.
+
+    Power iteration with a running (Cesaro) average. Iteration uses the lazy
+    kernel (P + I)/2, which has the same recurrent classes, per-class
+    stationary laws and absorption weights as P but is aperiodic, so the
+    iterates themselves converge and periodic chains do not stall the
+    average. Returns (g, pi).
+    """
+    p = _check_stochastic(transition)
+    r = np.asarray(state_reward, dtype=float)
+    n = p.shape[0]
+    if not 0 <= e0 < n:
+        raise DomainError(f"initial state {e0} out of range")
+
+    lazy = 0.5 * (p + np.eye(n))
+    v = np.zeros(n)
+    v[e0] = 1.0
+    avg = v.copy()
+    for k in range(1, max_iter + 1):
+        v_next = v @ lazy
+        step = np.abs(v_next - v).sum()
+        v = v_next
+        avg_next = avg + (v - avg) / (k + 1.0)
+        diff = np.abs(avg_next - avg).sum()
+        avg = avg_next
+        if step < 1e-14:
+            # v reached the lazy chain's fixed point; that fixed point IS the
+            # Cesaro limit, so skip the slow tail of the averaging.
+            avg = v
+            break
+        if diff < tol:
+            break
+    else:
+        raise ConvergenceError(
+            f"occupation did not converge in {max_iter} iterations", residual=diff)
+
+    avg = np.maximum(avg, 0.0)
+    avg /= avg.sum()
+    return float(avg @ r), avg
+
+
+def simulate_reference(battery, arrivals, cons, reward, policy, frames, seed, e0=0):
+    """Monte Carlo run drawing every arrival up front and stepping frame by frame."""
+    rng = np.random.default_rng(seed)
+    table = next_state_table(battery, arrivals.b_max)
+    acts = policy.action_vector(battery.e_max)
+    dvec = consumption_vector(policy, cons, battery.e_max)
+    jvec = np.array([
+        attained_reward(reward, cons, int(a), e) for e, a in enumerate(acts)
+    ])
+
+    draws = sample_arrivals(arrivals, rng, frames)
+    states = np.empty(frames, dtype=np.int64)
+    e = int(e0)
+    for k in range(frames):
+        states[k] = e
+        e = table[max(0, e - dvec[e]), draws[k]]
+
+    rewards = jvec[states]
+    n_batches = min(200, frames)
+    batch = frames // n_batches
+    means = rewards[: n_batches * batch].reshape(n_batches, batch).mean(axis=1)
+    se = float(means.std(ddof=1) / np.sqrt(n_batches)) if n_batches > 1 else float("nan")
+    return SimulationReport(
+        frames=frames,
+        empirical_reward=float(rewards.mean()),
+        std_error=se,
+        visit_counts=np.bincount(states, minlength=battery.e_max + 1),
+        seed=seed,
+    )
+
+
+def rvi_reference(battery, arrivals, cons, reward, actions,
+                  span_tol=1e-9, max_sweeps=10 ** 5):
+    """Relative value iteration on the half-lazy kernel, one fresh Q array per sweep."""
+    n = battery.e_max + 1
+    acts = actions.as_array()
+    dcons = np.array([cons.consumption(int(a)) for a in acts], dtype=np.int64)
+    states = np.arange(n)
+    start_of = np.maximum(states[:, None] - dcons[None, :], 0)
+    feasible = dcons[None, :] <= states[:, None]
+    rates = np.asarray(reward.rate(acts), dtype=float)
+    j = np.where(feasible, rates[None, :], 0.0)
+
+    rows = charge_matrix(battery, arrivals)
+    h = np.zeros(n)
+    span = math.inf
+    for _ in range(max_sweeps):
+        z = rows @ h
+        q = j + 0.5 * h[:, None] + 0.5 * z[start_of]
+        h_new = q.max(axis=1)
+        h_new -= h_new[0]
+        delta = h_new - h
+        span = float(delta.max() - delta.min())
+        h = h_new
+        if span < span_tol:
+            break
+    else:
+        raise ConvergenceError(
+            f"relative value iteration did not converge in {max_sweeps} sweeps",
+            residual=span)
+
+    z = rows @ h
+    q = j + 0.5 * h[:, None] + 0.5 * z[start_of]
+    best = q.max(axis=1)
+    greedy = (q >= best[:, None] - 1e-12).argmax(axis=1)
+    return StatePolicy(actions=tuple(int(acts[i]) for i in greedy))
+
+
 @pytest.fixture
 def rk4_charge():
     return rk4_levels
+
+
+@pytest.fixture
+def power_iteration():
+    return long_run_average
+
+
+@pytest.fixture
+def simulate_oracle():
+    return simulate_reference
+
+
+@pytest.fixture
+def rvi_oracle():
+    return rvi_reference

@@ -29,7 +29,6 @@ from ehpolicy import (
     evaluate_policy,
     get_preset,
     integrate_frame,
-    long_run_average,
     make_truncated_geometric,
     refine_partition_search,
     search_partition_policy,
@@ -113,14 +112,14 @@ def test_criterion_2_baseline_rewards():
 
 
 @criterion(3, "zero-reward trap")
-def test_criterion_3_cross_applied_trap():
+def test_criterion_3_cross_applied_trap(power_iteration):
     # best two-subset policy for a lossless battery, applied to the real one
     ideal = BatteryModel(e_max=100, efficiency=ConstantEfficiency(1.0))
     part = Partition.uniform(100, 2)
     trap = search_partition_policy(ideal, GEOM20, CONS, REWARD, GRID51,
                                    part).best_policy
     transition, state_reward = build_chain(BASELINE, GEOM20, CONS, REWARD, trap)
-    g, _ = long_run_average(transition, state_reward, 0)
+    g, _ = power_iteration(transition, state_reward, 0)
     assert g == 0.0
     report = simulate(BASELINE, GEOM20, CONS, REWARD, trap,
                       frames=10 ** 5, seed=3)

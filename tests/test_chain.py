@@ -15,12 +15,12 @@ from ehpolicy import (
     build_chain,
     evaluate_policy,
     exact_occupation,
-    long_run_average,
     make_truncated_geometric,
     simulate,
 )
+from ehpolicy.chain import _SIM_CHUNK
 from ehpolicy.core import arrival_model_from_pmf
-from ehpolicy.errors import ConfigurationError, NumericError
+from ehpolicy.errors import ConfigurationError, DomainError, NumericError
 
 BASELINE = BatteryModel(e_max=100, efficiency=QuadraticCapacitor(1.05))
 GEOM20 = make_truncated_geometric(20.0, 50)
@@ -111,21 +111,21 @@ class TestBuildChain:
 
 
 class TestLongRunAverage:
-    def test_absorbing_start(self):
+    def test_absorbing_start(self, power_iteration):
         transition = np.eye(10)
         reward = np.zeros(10)
         reward[5] = 0.3
-        g, pi = long_run_average(transition, reward, 5)
+        g, pi = power_iteration(transition, reward, 5)
         assert g == pytest.approx(0.3)
         assert pi[5] == pytest.approx(1.0)
 
-    def test_periodic_two_state(self):
+    def test_periodic_two_state(self, power_iteration):
         transition = np.array([[0.0, 1.0], [1.0, 0.0]])
-        g, pi = long_run_average(transition, np.array([1.0, 0.0]), 0)
+        g, pi = power_iteration(transition, np.array([1.0, 0.0]), 0)
         assert pi == pytest.approx(np.array([0.5, 0.5]), abs=1e-8)
         assert g == pytest.approx(0.5, abs=1e-8)
 
-    def test_doubly_stochastic_is_uniform(self):
+    def test_doubly_stochastic_is_uniform(self, power_iteration):
         rng = np.random.default_rng(11)
         # symmetric irreducible chain is doubly stochastic
         raw = rng.random((6, 6)) + 0.05
@@ -135,19 +135,19 @@ class TestLongRunAverage:
         transition = np.minimum(transition, transition.T)
         np.fill_diagonal(transition, 0)
         np.fill_diagonal(transition, 1.0 - transition.sum(axis=1))
-        _, pi = long_run_average(transition, np.zeros(6), 2)
+        _, pi = power_iteration(transition, np.zeros(6), 2)
         assert pi == pytest.approx(np.full(6, 1 / 6), abs=1e-8)
 
-    def test_rejects_nonstochastic(self):
+    def test_rejects_nonstochastic(self, power_iteration):
         with pytest.raises(NumericError):
-            long_run_average(np.full((3, 3), 0.5), np.zeros(3), 0)
+            power_iteration(np.full((3, 3), 0.5), np.zeros(3), 0)
 
-    def test_agrees_with_exact_occupation(self):
+    def test_agrees_with_exact_occupation(self, power_iteration):
         rng = np.random.default_rng(5)
         for _ in range(5):
             policy = StatePolicy(actions=tuple(rng.integers(0, 40, size=101)))
             transition, reward = build_chain(BASELINE, GEOM20, CONS, REWARD, policy)
-            g_iter, pi_iter = long_run_average(transition, reward, 0)
+            g_iter, pi_iter = power_iteration(transition, reward, 0)
             pi_exact = exact_occupation(transition, 0)
             assert pi_iter == pytest.approx(pi_exact, abs=1e-7)
             assert g_iter == pytest.approx(float(pi_exact @ reward), abs=1e-8)
@@ -203,3 +203,40 @@ class TestSimulate:
                           frames=10 ** 6, seed=123)
         assert abs(report.empirical_reward - analysis.long_run_reward) \
             <= 3 * report.std_error
+
+    @staticmethod
+    def assert_same_run(got, want):
+        assert np.array_equal(got.visit_counts, want.visit_counts)
+        assert got.empirical_reward == want.empirical_reward
+        assert got.std_error == want.std_error
+
+    @pytest.mark.parametrize("frames", [_SIM_CHUNK - 1, _SIM_CHUNK, _SIM_CHUNK + 1,
+                                        3 * _SIM_CHUNK + 7])
+    def test_matches_reference_across_chunk_edges(self, simulate_oracle, frames):
+        policy = PartitionPolicy(partition=Partition.uniform(100, 2), actions=(4, 26))
+        args = (BASELINE, GEOM20, CONS, REWARD, policy)
+        self.assert_same_run(simulate(*args, frames=frames, seed=5),
+                             simulate_oracle(*args, frames=frames, seed=5))
+
+    def test_matches_reference_from_nonzero_start(self, simulate_oracle):
+        policy = PartitionPolicy(partition=Partition.uniform(100, 2), actions=(4, 26))
+        args = (BASELINE, GEOM20, CONS, REWARD, policy)
+        self.assert_same_run(simulate(*args, frames=2 * _SIM_CHUNK + 3, seed=8, e0=73),
+                             simulate_oracle(*args, frames=2 * _SIM_CHUNK + 3, seed=8, e0=73))
+
+    def test_matches_reference_with_drain_actions(self, simulate_oracle):
+        # actions above the stored level empty the battery and earn nothing
+        acts = np.random.default_rng(6).integers(0, 101, size=101)
+        policy = StatePolicy(actions=tuple(acts))
+        args = (BASELINE, GEOM20, CONS, REWARD, policy)
+        report = simulate(*args, frames=2 * _SIM_CHUNK + 3, seed=2)
+        drained = (acts > np.arange(101)) & (report.visit_counts > 0)
+        assert drained.any()
+        self.assert_same_run(report,
+                             simulate_oracle(*args, frames=2 * _SIM_CHUNK + 3, seed=2))
+
+    @pytest.mark.parametrize("e0", [-1, 101])
+    def test_rejects_start_outside_battery(self, e0):
+        policy = StatePolicy(actions=(0,) * 101)
+        with pytest.raises(DomainError):
+            simulate(BASELINE, GEOM20, CONS, REWARD, policy, frames=10, seed=1, e0=e0)

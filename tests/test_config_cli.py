@@ -257,6 +257,27 @@ class TestCli:
         assert "worker processes" in capsys.readouterr().err
         assert not (out / "results.csv").exists()
 
+    @pytest.mark.parametrize("bad,flags", [
+        ("frames: 1.5", []), ("frames: abc", []), ("frames: true", []),
+        ("frames: 0", []), ("frames: -3", []), ("seed: 1.5", []), ("seed: abc", []),
+        ("seed: true", []), ("seed: -1", []), ("seed: 7", ["--seed", "-1"])])
+    def test_bad_frames_or_seed_fails_before_solving(self, tmp_path, capsys, monkeypatch,
+                                                     bad, flags):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a policy was solved")
+
+        monkeypatch.setattr(harness, "solve_perfect_soc", no_solve)
+        monkeypatch.setattr(harness, "search_partition_policy", no_solve)
+        key = bad.split(":")[0]
+        good = {"frames": "frames: 20000", "seed": "seed: 7"}[key]
+        path = tmp_path / "bad.yaml"
+        path.write_text(SMALL_YAML.replace("policy_source: search", "policy_source: solve")
+                        .replace(good, bad), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--out", str(out)] + flags) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
     def test_preset_runs_without_config_file(self, tmp_path):
         out = tmp_path / "out"
         assert main(["bound", "--preset", "baseline", "--out", str(out)]) == 0

@@ -11,10 +11,12 @@ from ehpolicy import (
     LogSnrReward,
     Partition,
     QuadraticCapacitor,
+    TabulatedEfficiency,
     beta_star,
     derive_bp,
     derive_lcp,
     evaluate_policy,
+    get_preset,
     make_truncated_geometric,
     refine_partition_search,
     search_partition_policy,
@@ -24,6 +26,7 @@ from ehpolicy import (
 from ehpolicy.chain import StatePolicy
 from ehpolicy.core import DeviceTableConsumption, arrival_model_from_pmf
 from ehpolicy.errors import BudgetExceededError, UnsupportedPartitionError
+from ehpolicy.harness import build_models
 
 BASELINE = BatteryModel(e_max=100, efficiency=QuadraticCapacitor(1.05))
 GEOM20 = make_truncated_geometric(20.0, 50)
@@ -78,6 +81,18 @@ class TestSolvePerfectSoc:
         arr = arrival_model_from_pmf([1.0])
         with pytest.warns(UserWarning):
             solve_perfect_soc(BASELINE, arr, CONS, REWARD, ActionSet((0, 1)))
+
+    @pytest.mark.parametrize("scenario", ["baseline", "fig5_band", "tabulated"])
+    def test_matches_reference_rvi(self, rvi_oracle, scenario):
+        if scenario == "baseline":
+            models = (BASELINE, GEOM20, CONS, REWARD, ActionSet(tuple(range(101))))
+        elif scenario == "fig5_band":
+            m = build_models(get_preset("fig5"), e_max=150, band="868MHz")
+            models = (m.battery, m.arrivals, m.cons, m.reward, m.actions)
+        else:
+            bat = BatteryModel(e_max=100, efficiency=TabulatedEfficiency((0.2, 1.0, 0.2)))
+            models = (bat, GEOM20, CONS, REWARD, ActionSet(tuple(range(0, 101, 2))))
+        assert solve_perfect_soc(*models) == rvi_oracle(*models)
 
 
 class TestSearchPartitionPolicy:
