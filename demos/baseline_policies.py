@@ -5,7 +5,7 @@ for a device that only sees LOW/HIGH, derives the two heuristics, and
 checks everything against the storage-aware throughput bound and a
 Monte Carlo simulation.
 
-Run:  python demos/baseline_policies.py   (about 6 s on a 2-core Xeon VM)
+Run:  python demos/baseline_policies.py   (about 2 s on a 2-core Xeon VM)
 """
 
 from ehpolicy import (

@@ -5,7 +5,7 @@ low-complexity heuristic (it can fall into a zero-reward trap) while the
 balanced heuristic stays close to the searched optimum and the bound
 closes in on the lossless ceiling.
 
-Run:  python demos/capacity_sweep.py   (about 4 s on a 2-core Xeon VM)
+Run:  python demos/capacity_sweep.py   (about 1 s on a 2-core Xeon VM)
 """
 
 import warnings

@@ -278,24 +278,6 @@ def evaluate_policy(battery: BatteryModel, arrivals: ArrivalModel, cons: Consump
     )
 
 
-def _fast_gain(transition: np.ndarray, state_reward: np.ndarray, e0: int) -> float:
-    """Average reward from e0; tries the unichain direct solve, falls back to the
-    general reducible-chain route."""
-    n = transition.shape[0]
-    a = transition.T - np.eye(n)
-    a[-1, :] = 1.0
-    rhs = np.zeros(n)
-    rhs[-1] = 1.0
-    try:
-        pi = np.linalg.solve(a, rhs)
-        if (pi.min() > -1e-10 and abs(pi.sum() - 1.0) < 1e-8
-                and np.abs(pi @ transition - pi).max() < 1e-10):
-            return float(np.maximum(pi, 0.0) @ state_reward)
-    except np.linalg.LinAlgError:
-        pass
-    return float(exact_occupation(transition, e0) @ state_reward)
-
-
 # ---------------------------------------------------------------------------
 # Monte Carlo simulation
 # ---------------------------------------------------------------------------

@@ -33,6 +33,14 @@ def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _check_int(name: str, value, lowest: int, optional: bool = False):
+    """Raise ConfigurationError unless ``value`` is an integer >= ``lowest`` (or None, if optional)."""
+    if optional and value is None:
+        return
+    if not _is_int(value) or value < lowest:
+        raise ConfigurationError(f"{name} must be an integer >= {lowest}, got {value!r}")
+
+
 def _take(d: dict, section: str, allowed: set):
     unknown = set(d) - allowed
     if unknown:
@@ -49,6 +57,9 @@ class BatteryConfig:
     frame_length: float = 1.0
     slot_length: float = 0.005
     quantum_joules: float = 1e-5
+
+    def __post_init__(self):
+        _check_int("battery.e_max", self.e_max, 1)
 
     @classmethod
     def from_dict(cls, d: dict) -> "BatteryConfig":
@@ -174,6 +185,10 @@ class ActionConfig:
     step: int = 1
     from_device: bool = False        # take tx levels from the device table
 
+    def __post_init__(self):
+        _check_int("actions.max_power", self.max_power, 0, optional=True)
+        _check_int("actions.step", self.step, 1)
+
     @classmethod
     def from_dict(cls, d: dict) -> "ActionConfig":
         _take(d, "actions", {f for f in cls.__dataclass_fields__})
@@ -196,6 +211,9 @@ class ActionConfig:
 class PartitionConfig:
     n_subsets: int = 2
     boundaries: list | None = None   # explicit subset start levels
+
+    def __post_init__(self):
+        _check_int("partition.n_subsets", self.n_subsets, 1)
 
     @classmethod
     def from_dict(cls, d: dict) -> "PartitionConfig":
@@ -227,6 +245,11 @@ class SearchConfig:
     refine_above: int | None = None  # two-stage search for partitions larger than this
     coarse_step: int = 4
 
+    def __post_init__(self):
+        _check_int("search.budget", self.budget, 1)
+        _check_int("search.refine_above", self.refine_above, 0, optional=True)
+        _check_int("search.coarse_step", self.coarse_step, 1)
+
     @classmethod
     def from_dict(cls, d: dict) -> "SearchConfig":
         _take(d, "search", {f for f in cls.__dataclass_fields__})
@@ -253,11 +276,10 @@ class ScenarioConfig:
     search: SearchConfig = field(default_factory=SearchConfig)
 
     def __post_init__(self):
-        # checked here so that a bad value fails before any policy is solved
-        if not _is_int(self.frames) or self.frames < 1:
-            raise ConfigurationError(f"frames must be an integer >= 1, got {self.frames!r}")
-        if not _is_int(self.seed) or self.seed < 0:
-            raise ConfigurationError(f"seed must be an integer >= 0, got {self.seed!r}")
+        # checked here so that a bad value fails before any policy is solved;
+        # each section checks its own numeric fields the same way
+        _check_int("frames", self.frames, 1)
+        _check_int("seed", self.seed, 0)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioConfig":

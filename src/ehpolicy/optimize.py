@@ -8,12 +8,15 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import breadth_first_order, connected_components
 
+from . import chain
 from .chain import (
+    _EDGE_EPS,
     Partition,
     PartitionPolicy,
     StatePolicy,
-    _fast_gain,
     build_chain,
     charge_matrix,
     consumption_vector,
@@ -30,6 +33,7 @@ from .core import (
 from .errors import BudgetExceededError, ConvergenceError, UnsupportedPartitionError
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_STACK_ENTRIES = 1 << 14  # entries per stacked temporary in the censored-chain solves
 
 
 # ---------------------------------------------------------------------------
@@ -114,6 +118,14 @@ def search_partition_policy(battery: BatteryModel, arrivals: ArrivalModel,
 
     Ties (within strict float comparison) resolve to the lexicographically
     smallest action vector because enumeration is in lexicographic order.
+
+    The levels split into E, every subset but the last, and K, the last
+    subset. Each prefix of actions on E is eliminated once, and every last
+    action is then scored on the censored chain on K (the stochastic
+    complement) by the renewal-reward theorem. Candidates whose gain the
+    complement cannot give (``e0`` never reaches K, some E state never
+    reaches K, or the censored chain is not unichain) take the class route,
+    ``chain.exact_occupation``.
     """
     n_subsets = partition.n_subsets
     n_policies = len(actions) ** n_subsets
@@ -124,7 +136,6 @@ def search_partition_policy(battery: BatteryModel, arrivals: ArrivalModel,
 
     n = battery.e_max + 1
     rows = charge_matrix(battery, arrivals)
-    labels = partition.labels()
     states = np.arange(n)
     acts = actions.as_array()
     dcons = np.array([cons.consumption(int(a)) for a in acts], dtype=np.int64)
@@ -134,21 +145,23 @@ def search_partition_policy(battery: BatteryModel, arrivals: ArrivalModel,
     start_by_action = np.maximum(states[:, None] - dcons[None, :], 0)
     j_by_action = np.where(dcons[None, :] <= states[:, None], rates[None, :], 0.0)
 
+    k0 = partition.starts[-1]
+    prefix_labels = partition.labels()[:k0]
     best_gain = -math.inf
     best_combo = None
     table = [] if keep_table else None
     count = 0
-    for combo in itertools.product(range(len(acts)), repeat=n_subsets):
-        choice = np.asarray(combo, dtype=np.int64)[labels]
-        transition = rows[start_by_action[states, choice]]
-        state_reward = j_by_action[states, choice]
-        gain = _fast_gain(transition, state_reward, e0)
-        count += 1
-        if table is not None:
-            table.append((tuple(int(acts[i]) for i in combo), gain))
-        if gain > best_gain:
-            best_gain = gain
-            best_combo = combo
+    for prefix in itertools.product(range(len(acts)), repeat=n_subsets - 1):
+        choice_e = np.asarray(prefix, dtype=np.int64)[prefix_labels]
+        gains = _last_subset_gains(rows, start_by_action, j_by_action, choice_e, e0)
+        for a, gain in enumerate(gains.tolist()):
+            combo = prefix + (a,)
+            count += 1
+            if table is not None:
+                table.append((tuple(int(acts[i]) for i in combo), gain))
+            if gain > best_gain:
+                best_gain = gain
+                best_combo = combo
 
     policy = PartitionPolicy(
         partition=partition,
@@ -159,6 +172,118 @@ def search_partition_policy(battery: BatteryModel, arrivals: ArrivalModel,
         evaluated_count=count,
         reward_by_policy=tuple(table) if keep_table else None,
     )
+
+
+def _last_subset_gains(rows, start_by_action, j_by_action, choice_e, e0) -> np.ndarray:
+    """Gain from e0 of every last-subset action, given the actions ``choice_e`` on E.
+
+    E holds the levels below k0 = len(choice_e); K holds the rest.
+    """
+    n, n_acts = start_by_action.shape
+    k0 = len(choice_e)
+    nk = n - k0
+
+    def class_route(a):
+        levels = np.arange(n)
+        choice = np.concatenate([choice_e, np.full(nk, a, dtype=np.int64)])
+        transition = rows[start_by_action[levels, choice]]
+        # looked up at call time, so a rebinding of chain.exact_occupation is seen
+        occupation = chain.exact_occupation(transition, e0)
+        return float(occupation @ j_by_action[levels, choice])
+
+    p_e = rows[start_by_action[np.arange(k0), choice_e]]
+    reach = _reaches_last_subset(p_e > _EDGE_EPS, k0)
+    if e0 < k0 and not reach[e0]:
+        # the chain from e0 never enters K, so no last action changes its gain
+        return np.full(n_acts, class_route(0))
+    if not reach.all():
+        # E holds a closed class, so I - P_EE is singular
+        return np.array([class_route(a) for a in range(n_acts)])
+
+    # eliminate E once: (I - P_EE)[Y | u | t] = [P_EK | r_E | 1], folded into every charge row
+    r_e = j_by_action[np.arange(k0), choice_e]
+    w = np.linalg.solve(np.eye(k0) - p_e[:, :k0],
+                        np.column_stack([p_e[:, k0:], r_e, np.ones(k0)]))
+    folded = rows[:, :k0] @ w
+    folded[:, :nk] += rows[:, k0:]
+    m, mu, tau = folded[:, :nk], folded[:, nk], folded[:, nk + 1]
+
+    s_k = start_by_action[k0:].T  # (action, K state): start level after spending
+    r_k = j_by_action[k0:].T
+    gains = np.empty(n_acts)
+    batch = max(1, _STACK_ENTRIES // (nk * nk))
+    for lo in range(0, n_acts, batch):
+        starts = s_k[lo:lo + batch]
+        pi, ok = _censored_stationary(m[starts])
+        num = np.einsum("ck,ck->c", pi, r_k[lo:lo + batch] + mu[starts])
+        den = np.einsum("ck,ck->c", pi, 1.0 + tau[starts])
+        for i in range(len(starts)):
+            gains[lo + i] = num[i] / den[i] if ok[i] else class_route(lo + i)
+    return gains
+
+
+def _reaches_last_subset(support_e: np.ndarray, k0: int) -> np.ndarray:
+    """Which E states can reach K, given the support of their rows (E x all levels)."""
+    into_k = support_e[:, k0:].any(axis=1)
+    src, dst = np.nonzero(support_e[:, :k0])
+    # reversed edges over E, plus node k0 standing for K with an edge into
+    # every state that steps into K directly
+    tail = np.concatenate([dst, np.full(int(into_k.sum()), k0)])
+    head = np.concatenate([src, np.flatnonzero(into_k)])
+    graph = csr_matrix((np.ones(len(tail), dtype=bool), (tail, head)),
+                       shape=(k0 + 1, k0 + 1))
+    order = breadth_first_order(graph, k0, directed=True, return_predecessors=False)
+    reach = np.zeros(k0 + 1, dtype=bool)
+    reach[order] = True
+    return reach[:k0]
+
+
+def _censored_stationary(censored: np.ndarray):
+    """Stationary laws of a stack of censored chains, and which of them to trust.
+
+    A law is trusted only if its chain's support has exactly one closed
+    class and the solve passes a residual check: with two closed classes
+    the system is singular, and a mixture of the class laws would pass the
+    residual check alone.
+    """
+    c, k, _ = censored.shape
+    ok = _single_closed_class(censored > _EDGE_EPS)
+    pi = np.zeros((c, k))
+    if not ok.any():
+        return pi, ok
+    a = censored[ok].transpose(0, 2, 1) - np.eye(k)
+    a[:, -1, :] = 1.0
+    rhs = np.zeros((len(a), k, 1))
+    rhs[:, -1] = 1.0
+    try:
+        sol = np.linalg.solve(a, rhs)[..., 0]
+    except np.linalg.LinAlgError:
+        # an exactly singular system: the whole batch takes the class route
+        return pi, np.zeros(c, dtype=bool)
+    residual = np.abs(np.einsum("ck,ckj->cj", sol, censored[ok]) - sol).max(axis=1)
+    good = ((sol.min(axis=1) > -1e-10) & (np.abs(sol.sum(axis=1) - 1.0) < 1e-8)
+            & (residual < 1e-10))
+    ok[ok] = good
+    pi[ok] = np.maximum(sol[good], 0.0)
+    return pi, ok
+
+
+def _single_closed_class(support: np.ndarray) -> np.ndarray:
+    """Whether each graph of a stack of supports (c, k, k) has exactly one closed class."""
+    c, k, _ = support.shape
+    blk, i, j = np.nonzero(support)
+    tail = (blk * k + i).astype(np.int32)
+    head = (blk * k + j).astype(np.int32)
+    # one block-diagonal graph, built straight in CSR form: nonzero is row-major
+    indptr = np.zeros(c * k + 1, dtype=np.int32)
+    np.cumsum(support.sum(axis=2).ravel(), out=indptr[1:])
+    graph = csr_matrix((np.ones(len(head)), head, indptr), shape=(c * k, c * k))
+    n_comp, comp = connected_components(graph, directed=True, connection="strong")
+    closed = np.ones(n_comp, dtype=bool)
+    closed[comp[tail[comp[tail] != comp[head]]]] = False
+    block = np.empty(n_comp, dtype=np.int64)
+    block[comp] = np.arange(c * k) // k
+    return np.bincount(block[closed], minlength=c) == 1
 
 
 def refine_partition_search(battery, arrivals, cons, reward, actions, partition,

@@ -2,6 +2,7 @@ import csv
 import os
 
 import pytest
+import yaml
 
 from ehpolicy import ScenarioConfig, get_preset, harness, preset_names
 from ehpolicy.cli import main
@@ -276,6 +277,31 @@ class TestCli:
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(path), "--out", str(out)] + flags) == 2
         assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("section,key,bad", [
+        ("battery", "e_max", 1.5), ("battery", "e_max", "abc"), ("battery", "e_max", 0),
+        ("actions", "step", 0.5), ("actions", "step", 0), ("actions", "step", True),
+        ("actions", "max_power", 2.5), ("actions", "max_power", -1),
+        ("partition", "n_subsets", 1.5), ("partition", "n_subsets", 0),
+        ("search", "budget", "abc"), ("search", "budget", 1.5), ("search", "budget", 0),
+        ("search", "refine_above", 1.5), ("search", "refine_above", -1),
+        ("search", "coarse_step", "abc"), ("search", "coarse_step", 0)])
+    def test_bad_numeric_field_fails_before_searching(self, tmp_path, capsys, monkeypatch,
+                                                      section, key, bad):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a policy was solved")
+
+        monkeypatch.setattr(harness, "solve_perfect_soc", no_solve)
+        monkeypatch.setattr(harness, "search_partition_policy", no_solve)
+        monkeypatch.setattr(harness, "refine_partition_search", no_solve)
+        data = yaml.safe_load(SMALL_YAML)
+        data.setdefault(section, {})[key] = bad
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(data), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["search", "--config", str(path), "--out", str(out)]) == 2
+        assert f"{section}.{key}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_preset_runs_without_config_file(self, tmp_path):

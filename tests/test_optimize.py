@@ -2,6 +2,9 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+from test_acceptance import random_scenario
 
 from ehpolicy import (
     ActionSet,
@@ -23,7 +26,7 @@ from ehpolicy import (
     solve_perfect_soc,
     upper_bound,
 )
-from ehpolicy.chain import StatePolicy
+from ehpolicy.chain import PartitionPolicy, StatePolicy, build_chain
 from ehpolicy.core import DeviceTableConsumption, arrival_model_from_pmf
 from ehpolicy.errors import BudgetExceededError, UnsupportedPartitionError
 from ehpolicy.harness import build_models
@@ -32,6 +35,44 @@ BASELINE = BatteryModel(e_max=100, efficiency=QuadraticCapacitor(1.05))
 GEOM20 = make_truncated_geometric(20.0, 50)
 REWARD = LogSnrReward(0.01)
 CONS = IdentityConsumption()
+
+
+@st.composite
+def small_search_scenarios(draw):
+    """Small model, action set and partition; large actions make trap prefixes."""
+    e_max = draw(st.integers(5, 40))
+    if draw(st.booleans()):
+        profile = QuadraticCapacitor(draw(st.floats(1.05, 3.0)))
+    else:
+        profile = TabulatedEfficiency(tuple(draw(
+            st.lists(st.floats(0.05, 1.0), min_size=2, max_size=5))))
+    if draw(st.booleans()):
+        b_max = draw(st.integers(1, 12))
+        arrivals = make_truncated_geometric(draw(st.floats(0.2, 0.8)) * b_max, b_max)
+    else:
+        weights = draw(st.lists(st.integers(0, 10), min_size=2, max_size=10)
+                       .filter(lambda w: sum(w[1:]) > 0))
+        arrivals = arrival_model_from_pmf(weights)
+    powers = draw(st.sets(st.integers(1, e_max), min_size=1, max_size=4))
+    actions = ActionSet((0,) + tuple(sorted(powers)))
+    n_subsets = draw(st.integers(1, 3))
+    return (BatteryModel(e_max=e_max, efficiency=profile), arrivals, actions,
+            Partition.uniform(e_max, n_subsets))
+
+
+def lazy_power(transition, squarings=20):
+    """(P + I)/2 squared ``squarings`` times, rows renormalized against round-off.
+
+    It has the recurrent classes, class laws and absorption weights of P, so
+    power iteration on it has the same limit from every start, but a chain
+    that leaves a near-trap only after millions of frames converges in a
+    few steps.
+    """
+    power = 0.5 * (transition + np.eye(len(transition)))
+    for _ in range(squarings):
+        power = power @ power
+        power /= power.sum(axis=1, keepdims=True)
+    return power
 
 
 def brute_force_best_state_policy(battery, arrivals, cons, reward, actions, e0=0):
@@ -134,6 +175,65 @@ class TestSearchPartitionPolicy:
         result = search_partition_policy(bat, arr, CONS, REWARD,
                                          ActionSet((0, 2, 5)), part)
         assert result.best_policy.actions == (0, 0)
+
+    def test_multichain_candidates_get_their_class_gain(self, power_iteration):
+        # with 6 quanta spent on LOW the chain from e0 = 0 never leaves LOW, while
+        # HIGH holds a closed class of its own: a dense unichain solve of such a
+        # chain is singular, and it returned 0.0 for (6, 0) and 0.00995 for (6, 1)
+        part = Partition.uniform(100, 2)
+        result = search_partition_policy(BASELINE, GEOM20, CONS, REWARD,
+                                         ActionSet((0, 1, 6)), part, keep_table=True)
+        for combo, gain in result.reward_by_policy:
+            policy = PartitionPolicy(partition=part, actions=combo)
+            want = evaluate_policy(BASELINE, GEOM20, CONS, REWARD, policy).long_run_reward
+            assert gain == pytest.approx(want, abs=1e-12)
+        table = dict(result.reward_by_policy)
+        for last in (0, 1, 6):
+            assert table[(6, last)] == pytest.approx(0.0024714513513, abs=1e-12)
+        transition, state_reward = build_chain(
+            BASELINE, GEOM20, CONS, REWARD, PartitionPolicy(partition=part, actions=(6, 1)))
+        g_iter, _ = power_iteration(transition, state_reward, 0)
+        assert g_iter == pytest.approx(table[(6, 1)], abs=1e-8)
+
+    # the explicit examples hold trap prefixes (e0 never reaches the last
+    # subset) beside prefixes that do reach it, a candidate whose chain has two
+    # closed classes, and chains that mix too slowly for plain power iteration
+    @settings(max_examples=50, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(scenario=small_search_scenarios())
+    @example(scenario=(BatteryModel(e_max=30, efficiency=QuadraticCapacitor(1.05)),
+                       make_truncated_geometric(6.0, 15), ActionSet((0, 1, 2, 6)),
+                       Partition.uniform(30, 2)))
+    @example(scenario=(BatteryModel(e_max=12, efficiency=QuadraticCapacitor(1.3)),
+                       arrival_model_from_pmf([1, 1]), ActionSet((0, 5, 6)),
+                       Partition.uniform(12, 1)))
+    @example(scenario=(BatteryModel(e_max=31, efficiency=QuadraticCapacitor(1.9)),
+                       arrival_model_from_pmf([4, 0, 2, 4, 0, 10, 5, 0, 7]),
+                       ActionSet((0, 2, 6, 15, 31)), Partition.uniform(31, 3)))
+    def test_every_candidate_gain_matches_oracles(self, power_iteration, scenario):
+        battery, arrivals, actions, part = scenario
+        result = search_partition_policy(battery, arrivals, CONS, REWARD, actions, part,
+                                         keep_table=True)
+        assert result.evaluated_count == len(actions) ** part.n_subsets
+        for combo, gain in result.reward_by_policy:
+            policy = PartitionPolicy(partition=part, actions=combo)
+            want = evaluate_policy(battery, arrivals, CONS, REWARD, policy).long_run_reward
+            assert gain == pytest.approx(want, abs=1e-10)
+            transition, state_reward = build_chain(battery, arrivals, CONS, REWARD, policy)
+            g_iter, _ = power_iteration(lazy_power(transition), state_reward, 0)
+            assert gain == pytest.approx(g_iter, abs=1e-8)
+
+    def test_reported_gain_is_the_winners_gain(self):
+        # criterion 4's scenarios: the reported best gain is the winner's own gain
+        rng = np.random.default_rng(20260823)
+        for _ in range(50):
+            battery, arrivals, reward = random_scenario(rng)
+            step = max(1, arrivals.b_max // 8)
+            acts = ActionSet(tuple(range(0, arrivals.b_max + 1, step)))
+            result = search_partition_policy(battery, arrivals, CONS, reward, acts,
+                                             Partition.uniform(battery.e_max, 2))
+            analysis = evaluate_policy(battery, arrivals, CONS, reward, result.best_policy)
+            assert result.best_reward == pytest.approx(analysis.long_run_reward, abs=1e-11)
 
     def test_budget_guard(self):
         part = Partition.uniform(100, 3)
