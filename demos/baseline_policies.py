@@ -38,7 +38,7 @@ def gain(policy):
     return evaluate_policy(battery, arrivals, cons, reward, policy).long_run_reward
 
 
-print("Perfect charge knowledge: relative value iteration over 101 actions...")
+print("Perfect charge knowledge: policy iteration over 101 actions...")
 perfect = solve_perfect_soc(battery, arrivals, cons, reward, actions)
 print(f"  G = {gain(perfect):.5f}")
 print("  sample of the policy (state -> transmit power):")

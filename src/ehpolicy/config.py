@@ -233,6 +233,15 @@ class SweepConfig:
     n_subsets: list = field(default_factory=list)
     bands: list = field(default_factory=list)
 
+    def __post_init__(self):
+        for name in ("e_max", "n_subsets", "bands"):
+            if not isinstance(getattr(self, name), list):
+                raise ConfigurationError(
+                    f"sweep.{name} must be a list, got {getattr(self, name)!r}")
+        for name in ("e_max", "n_subsets"):
+            for value in getattr(self, name):
+                _check_int(f"sweep.{name}", value, 1)
+
     @classmethod
     def from_dict(cls, d: dict) -> "SweepConfig":
         _take(d, "sweep", {f for f in cls.__dataclass_fields__})

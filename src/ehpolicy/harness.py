@@ -281,7 +281,7 @@ def _sweep_point(args):
                 g_upper_bound=bound.g_ub, g_ideal_bound=bound.g_ideal,
                 wall_time_s=time.perf_counter() - t0, error=str(exc))
 
-    solved = []  # one RVI solve serves optimal_perfect and low_complexity
+    solved = []  # one solve serves optimal_perfect and low_complexity
 
     def perfect():
         if not solved:

@@ -28,12 +28,15 @@ from .core import (
     ConsumptionMap,
     RewardModel,
     _charge_flow,
+    _efficiency_unchecked,
     validate_recharge_hypothesis,
 )
 from .errors import BudgetExceededError, ConvergenceError, UnsupportedPartitionError
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _STACK_ENTRIES = 1 << 14  # entries per stacked temporary in the censored-chain solves
+_START_SWEEPS = 10  # value-iteration sweeps whose greedy policy starts policy iteration
+_MAX_ITERATIONS = 500  # policy-iteration steps before a cycle is reported
+_KEEP_RTOL = 1e-10  # a state's action changes only if beaten by more, relative to max |Q|
 
 
 # ---------------------------------------------------------------------------
@@ -41,13 +44,17 @@ _STACK_ENTRIES = 1 << 14  # entries per stacked temporary in the censored-chain 
 # ---------------------------------------------------------------------------
 
 def solve_perfect_soc(battery: BatteryModel, arrivals: ArrivalModel, cons: ConsumptionMap,
-                      reward: RewardModel, actions: ActionSet,
-                      span_tol: float = 1e-9, max_sweeps: int = 10 ** 5) -> StatePolicy:
-    """Gain-optimal deterministic per-state policy via relative value iteration.
+                      reward: RewardModel, actions: ActionSet) -> StatePolicy:
+    """Gain-optimal deterministic per-state policy by Howard policy iteration.
 
-    Iterates the Bellman operator of the half-lazy kernel (I + P)/2, which
-    preserves average-reward optimal policies while guaranteeing aperiodicity,
-    and stops on the span seminorm of the value update.
+    It starts from the greedy policy of a few value-iteration sweeps. Each
+    step evaluates the current policy on the charge matrix and improves it
+    greedily, first on the gain P·g and then on r + P·h (multichain policy
+    iteration, Puterman, *Markov Decision Processes*, 1994, §9.2). A state
+    keeps its action unless another beats it by more than a relative
+    round-off, and the iteration stops when no state changes. The policy
+    returned takes, in each state, the lowest-power action whose value is
+    within 1e-12 of the best.
     """
     ok, _ = validate_recharge_hypothesis(battery, arrivals)
     if not ok:
@@ -64,37 +71,109 @@ def solve_perfect_soc(battery: BatteryModel, arrivals: ArrivalModel, cons: Consu
     j = np.where(feasible, rates[None, :], 0.0)
 
     rows = charge_matrix(battery, arrivals)
+    # one buffer holds each iterate's evaluation system and then its action
+    # values q, which are only needed once the solve is done
+    work = np.empty(n * max(n, len(acts)))
+    system = work[:n * n].reshape(n, n)
+    q = work[:start_of.size].reshape(start_of.shape)
     h = np.zeros(n)
-    # every sweep writes into these, so no (state, action) temporary is allocated
-    z = np.empty(n)
-    h_new = np.empty(n)
-    buf = np.empty(start_of.shape)
-    span = math.inf
-    for _ in range(max_sweeps):
-        np.matmul(rows, h, out=z)
-        z *= 0.5
-        np.take(z, start_of, out=buf)
-        buf += j
-        buf.max(axis=1, out=h_new)
-        # the idle half of the lazy kernel is the same for every action
-        h_new += 0.5 * h
-        h_new -= h_new[0]
-        delta = h_new - h
-        span = float(delta.max() - delta.min())
-        h, h_new = h_new, h
-        if span < span_tol:
+    for _ in range(_START_SWEEPS):
+        np.take(rows @ h, start_of, out=q)
+        q += j
+        h = q.max(axis=1)
+    choice = q.argmax(axis=1)
+    for _ in range(_MAX_ITERATIONS):
+        gain, bias = _policy_values(rows, start_of[states, choice], j[states, choice], system)
+        allowed = None
+        if gain.min() < gain.max():
+            # closed classes with different gains: improve on P·g first
+            np.take(rows @ gain, start_of, out=q)
+            improved, allowed = _improve(q, choice)
+            if not np.array_equal(improved, choice):
+                choice = improved
+                continue
+        np.take(rows @ bias, start_of, out=q)
+        q += j
+        improved, _ = _improve(q, choice, allowed)
+        if np.array_equal(improved, choice):
             break
+        choice = improved
     else:
         raise ConvergenceError(
-            f"relative value iteration did not converge in {max_sweeps} sweeps",
-            residual=span)
+            f"policy iteration did not settle in {_MAX_ITERATIONS} iterations")
 
-    z = rows @ h
-    q = j + 0.5 * h[:, None] + 0.5 * z[start_of]
     # argmax picks the first (lowest-power) maximizer; snap near-ties down too
     best = q.max(axis=1)
     greedy = (q >= best[:, None] - 1e-12).argmax(axis=1)
     return StatePolicy(actions=tuple(int(acts[i]) for i in greedy))
+
+
+def _improve(q, choice, allowed=None):
+    """Greedy step on the action values ``q`` (state, action), which it may overwrite.
+
+    A state keeps its action in ``choice`` unless another beats it by more
+    than round-off relative to max |q|. Only ``allowed`` actions compete, if
+    given. Returns the new choice and which actions come within that
+    round-off of the best.
+    """
+    tol = _KEEP_RTOL * max(q.max(), -q.min())
+    if allowed is not None:
+        np.copyto(q, -np.inf, where=~allowed)
+    best = q.max(axis=1)
+    near = q >= best[:, None] - tol
+    keep = near[np.arange(len(choice)), choice]
+    return np.where(keep, choice, q.argmax(axis=1)), near
+
+
+def _policy_values(rows, starts, reward, system):
+    """Gain and bias vectors of the policy whose state e charges from ``starts[e]``.
+
+    They solve g = P·g and g + h = r + P·h, with h = 0 at the lowest state
+    of each closed class. ``system`` is an (n, n) buffer that is overwritten.
+    """
+    n = len(starts)
+    p = np.take(rows, starts, axis=0, out=system)
+    comp, closed = _closed_classes((p > _EDGE_EPS)[None])
+    comp = comp[0]
+    _, first = np.unique(comp, return_index=True)
+    refs = first[closed]
+    if len(refs) == 1:
+        # one closed class: a single gain, and column ref carries it in place of h(ref) = 0
+        ref = refs[0]
+        _identity_minus(system)
+        system[:, ref] = 1.0
+        x = np.linalg.solve(system, reward)
+        gain = np.full(n, x[ref])
+        x[ref] = 0.0
+        return gain, x
+
+    gain = np.empty(n)
+    bias = np.empty(n)
+    for ref in refs:
+        idx = np.flatnonzero(comp == comp[ref])
+        a = _identity_minus(p[np.ix_(idx, idx)])
+        a[:, 0] = 1.0
+        x = np.linalg.solve(a, reward[idx])
+        gain[idx] = x[0]
+        x[0] = 0.0
+        bias[idx] = x
+    recurrent = closed[comp]
+    trans = np.flatnonzero(~recurrent)
+    if len(trans):
+        rec = np.flatnonzero(recurrent)
+        lhs = _identity_minus(p[np.ix_(trans, trans)])
+        into = p[np.ix_(trans, rec)]
+        # the absorption law averages the class gains; the bias follows
+        gain[trans] = np.linalg.solve(lhs, into @ gain[rec])
+        bias[trans] = np.linalg.solve(lhs, reward[trans] - gain[trans] + into @ bias[rec])
+    return gain, bias
+
+
+def _identity_minus(block: np.ndarray) -> np.ndarray:
+    """I - block, formed in place of the square array ``block``."""
+    np.negative(block, out=block)
+    block.flat[::len(block) + 1] += 1.0
+    return block
 
 
 # ---------------------------------------------------------------------------
@@ -242,12 +321,14 @@ def _censored_stationary(censored: np.ndarray):
     """Stationary laws of a stack of censored chains, and which of them to trust.
 
     A law is trusted only if its chain's support has exactly one closed
-    class and the solve passes a residual check: with two closed classes
-    the system is singular, and a mixture of the class laws would pass the
-    residual check alone.
+    class, the solve passes a residual check and the law puts no mass
+    outside that class: with two closed classes the system is singular, and
+    a mixture of the class laws would pass the residual check alone, while
+    a nearly closed transient set makes it so ill-conditioned that a law
+    on the transient states can pass it too.
     """
     c, k, _ = censored.shape
-    ok = _single_closed_class(censored > _EDGE_EPS)
+    ok, in_class = _single_closed_class(censored > _EDGE_EPS)
     pi = np.zeros((c, k))
     if not ok.any():
         return pi, ok
@@ -261,15 +342,29 @@ def _censored_stationary(censored: np.ndarray):
         # an exactly singular system: the whole batch takes the class route
         return pi, np.zeros(c, dtype=bool)
     residual = np.abs(np.einsum("ck,ckj->cj", sol, censored[ok]) - sol).max(axis=1)
+    stray = np.where(in_class[ok], 0.0, np.abs(sol)).max(axis=1)
     good = ((sol.min(axis=1) > -1e-10) & (np.abs(sol.sum(axis=1) - 1.0) < 1e-8)
-            & (residual < 1e-10))
+            & (residual < 1e-10) & (stray < 1e-10))
     ok[ok] = good
     pi[ok] = np.maximum(sol[good], 0.0)
     return pi, ok
 
 
-def _single_closed_class(support: np.ndarray) -> np.ndarray:
-    """Whether each graph of a stack of supports (c, k, k) has exactly one closed class."""
+def _single_closed_class(support: np.ndarray):
+    """For each graph of a stack of supports (c, k, k): whether it has exactly
+    one closed class, and which of its states lie in a closed class (c, k)."""
+    comp, closed = _closed_classes(support)
+    block = np.empty(len(closed), dtype=np.int64)
+    block[comp] = np.arange(len(comp))[:, None]
+    return np.bincount(block[closed], minlength=len(comp)) == 1, closed[comp]
+
+
+def _closed_classes(support: np.ndarray):
+    """Strong components of each graph of a stack of supports (c, k, k).
+
+    Returns the component of every state, (c, k), with components numbered
+    across the whole stack, and whether each component is closed.
+    """
     c, k, _ = support.shape
     blk, i, j = np.nonzero(support)
     tail = (blk * k + i).astype(np.int32)
@@ -281,9 +376,7 @@ def _single_closed_class(support: np.ndarray) -> np.ndarray:
     n_comp, comp = connected_components(graph, directed=True, connection="strong")
     closed = np.ones(n_comp, dtype=bool)
     closed[comp[tail[comp[tail] != comp[head]]]] = False
-    block = np.empty(n_comp, dtype=np.int64)
-    block[comp] = np.arange(c * k) // k
-    return np.bincount(block[closed], minlength=c) == 1
+    return comp.reshape(c, k), closed
 
 
 def refine_partition_search(battery, arrivals, cons, reward, actions, partition,
@@ -330,7 +423,7 @@ def beta_star(battery: BatteryModel, b: int):
 
     The increment is evaluated on the exact charging flow without the
     capacity clip, so overflow is not conflated with storage loss. Coarse
-    grid seeding plus golden-section refinement.
+    grid seeding plus bisection on the sign of the increment's slope.
     """
     a_star, beta = _beta_star_vec(battery, [b])
     return float(a_star[0]), float(beta[0])
@@ -347,24 +440,21 @@ def _beta_star_vec(battery: BatteryModel, bs):
     a_lo = grid[np.maximum(k - 1, 0)]
     a_hi = grid[np.minimum(k + 1, len(grid) - 1)]
 
-    def f(a):
-        return _charge_flow(battery, a, b_arr, saturate=False) - a
+    def eta(y):
+        return _efficiency_unchecked(battery.efficiency, y, e_max)
 
-    # golden-section over all arrival sizes in lockstep
-    c = a_hi - _GOLDEN * (a_hi - a_lo)
-    d = a_lo + _GOLDEN * (a_hi - a_lo)
-    fc = f(c)
-    fd = f(d)
-    while np.max(a_hi - a_lo) > 1e-10 * max(1.0, e_max):
-        take_c = fc > fd
-        a_hi = np.where(take_c, d, a_hi)
-        a_lo = np.where(take_c, a_lo, c)
-        c = a_hi - _GOLDEN * (a_hi - a_lo)
-        d = a_lo + _GOLDEN * (a_hi - a_lo)
-        fc = f(c)
-        fd = f(d)
+    # the flow is autonomous, so dy_T/da = eta(y_T(a)) / eta(a) and the increment
+    # rises exactly while eta(y_T(a)) > eta(a); bisecting on that sign needs no
+    # comparison of increments, whose round-off hides their flat maximum
+    while np.max(a_hi - a_lo) > 1e-14 * max(1.0, e_max):
+        mid = 0.5 * (a_lo + a_hi)
+        end = _charge_flow(battery, mid, b_arr, saturate=False)
+        rising = eta(end) > eta(mid)
+        a_lo = np.where(rising, mid, a_lo)
+        a_hi = np.where(rising, a_hi, mid)
     a_best = np.where(b_arr == 0.0, 0.0, 0.5 * (a_lo + a_hi))
-    beta = np.where(b_arr == 0.0, 0.0, np.maximum(np.maximum(fc, fd), 0.0))
+    inc = _charge_flow(battery, a_best, b_arr, saturate=False) - a_best
+    beta = np.where(b_arr == 0.0, 0.0, np.maximum(inc, 0.0))
     return a_best, beta
 
 

@@ -6,8 +6,8 @@
   library finds recurrent classes by graph search and solves them directly.
 - ``simulate_reference``: the Monte Carlo recursion one frame at a time on
   a single up-front array of draws; the library steps plain ints in chunks.
-- ``rvi_reference``: relative value iteration with fresh (state, action)
-  arrays every sweep; the library reuses preallocated buffers.
+- ``rvi_reference``: relative value iteration on the half-lazy kernel; the
+  library runs Howard policy iteration.
 """
 
 import math

@@ -175,7 +175,7 @@ def test_criterion_6_large_battery_bound():
 
 @criterion(7, "oracle equivalence")
 def test_criterion_7_oracles():
-    # (a) full-resolution partition search vs relative value iteration
+    # (a) full-resolution partition search vs the perfect-knowledge solver
     instances = [
         (BatteryModel(e_max=10, efficiency=QuadraticCapacitor(1.3)),
          make_truncated_geometric(3.0, 8), ActionSet((0, 2))),

@@ -286,7 +286,10 @@ class TestCli:
         ("partition", "n_subsets", 1.5), ("partition", "n_subsets", 0),
         ("search", "budget", "abc"), ("search", "budget", 1.5), ("search", "budget", 0),
         ("search", "refine_above", 1.5), ("search", "refine_above", -1),
-        ("search", "coarse_step", "abc"), ("search", "coarse_step", 0)])
+        ("search", "coarse_step", "abc"), ("search", "coarse_step", 0),
+        ("sweep", "e_max", [10.5]), ("sweep", "e_max", [20, 0]), ("sweep", "e_max", 20),
+        ("sweep", "n_subsets", [1.5]), ("sweep", "n_subsets", [0]),
+        ("sweep", "n_subsets", 2), ("sweep", "bands", "868MHz")])
     def test_bad_numeric_field_fails_before_searching(self, tmp_path, capsys, monkeypatch,
                                                       section, key, bad):
         def no_solve(*args, **kwargs):
