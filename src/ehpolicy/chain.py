@@ -212,6 +212,8 @@ def exact_occupation(transition: np.ndarray, e0: int) -> np.ndarray:
     """
     p = _check_stochastic(transition)
     n = p.shape[0]
+    if not 0 <= e0 < n:
+        raise DomainError(f"initial state {e0} out of range")
     sparse = csr_matrix(p > _EDGE_EPS)
     order = np.atleast_1d(breadth_first_order(sparse, e0, return_predecessors=False))
     idx = np.sort(order)

@@ -465,9 +465,11 @@ def attained_reward(reward: RewardModel, cons: ConsumptionMap, rho: int, e: int,
 def validate_recharge_hypothesis(battery: BatteryModel, arrivals: ArrivalModel):
     """Check that a maximal arrival stores at least one quantum from every non-full state.
 
+    The maximal arrival is the largest size with positive probability.
     Returns (ok, violating_states).
     """
-    table = next_state_table(battery, arrivals.b_max)
+    b_top = int(np.flatnonzero(arrivals.pmf_array())[-1])
+    table = next_state_table(battery, b_top)
     states = np.arange(battery.e_max)
-    bad = states[table[:-1, arrivals.b_max] < states + 1]
+    bad = states[table[:-1, b_top] < states + 1]
     return len(bad) == 0, [int(e) for e in bad]

@@ -31,7 +31,12 @@ from .core import (
     _efficiency_unchecked,
     validate_recharge_hypothesis,
 )
-from .errors import BudgetExceededError, ConvergenceError, UnsupportedPartitionError
+from .errors import (
+    BudgetExceededError,
+    ConvergenceError,
+    DomainError,
+    UnsupportedPartitionError,
+)
 
 _STACK_ENTRIES = 1 << 14  # entries per stacked temporary in the censored-chain solves
 _START_SWEEPS = 10  # value-iteration sweeps whose greedy policy starts policy iteration
@@ -198,14 +203,24 @@ def search_partition_policy(battery: BatteryModel, arrivals: ArrivalModel,
     Ties (within strict float comparison) resolve to the lexicographically
     smallest action vector because enumeration is in lexicographic order.
 
-    The levels split into E, every subset but the last, and K, the last
-    subset. Each prefix of actions on E is eliminated once, and every last
-    action is then scored on the censored chain on K (the stochastic
-    complement) by the renewal-reward theorem. Candidates whose gain the
-    complement cannot give (``e0`` never reaches K, some E state never
-    reaches K, or the censored chain is not unichain) take the class route,
+    The candidates form a prefix tree over the subsets, walked in
+    lexicographic order. At each depth i, if ``e0`` lies below subset i, a
+    graph search on the rows of the levels below it (fixed by the first i
+    actions) finds whether the chain from ``e0`` ever gets there. If it
+    cannot, no later action changes the gain, so every candidate below that
+    prefix shares one gain, computed once by the class route,
     ``chain.exact_occupation``.
+
+    At the last depth the levels split into E, every subset but the last,
+    and K, the last subset. The prefix of actions on E is eliminated once,
+    and every last action is then scored on the censored chain on K (the
+    stochastic complement) by the renewal-reward theorem. Candidates whose
+    gain the complement cannot give (some E state never reaches K, or the
+    censored chain is not unichain) take the class route.
     """
+    n = battery.e_max + 1
+    if not 0 <= e0 < n:
+        raise DomainError(f"initial state {e0} out of range")
     n_subsets = partition.n_subsets
     n_policies = len(actions) ** n_subsets
     if n_policies > budget:
@@ -213,10 +228,10 @@ def search_partition_policy(battery: BatteryModel, arrivals: ArrivalModel,
             f"{len(actions)}^{n_subsets} = {n_policies} policies exceeds budget {budget}; "
             "coarsen the action grid or reduce the number of subsets")
 
-    n = battery.e_max + 1
     rows = charge_matrix(battery, arrivals)
     states = np.arange(n)
     acts = actions.as_array()
+    n_acts = len(acts)
     dcons = np.array([cons.consumption(int(a)) for a in acts], dtype=np.int64)
     rates = np.asarray(reward.rate(acts), dtype=float)
 
@@ -224,17 +239,35 @@ def search_partition_policy(battery: BatteryModel, arrivals: ArrivalModel,
     start_by_action = np.maximum(states[:, None] - dcons[None, :], 0)
     j_by_action = np.where(dcons[None, :] <= states[:, None], rates[None, :], 0.0)
 
-    k0 = partition.starts[-1]
-    prefix_labels = partition.labels()[:k0]
+    labels = partition.labels()
+    last = n_subsets - 1
     best_gain = -math.inf
     best_combo = None
     table = [] if keep_table else None
     count = 0
-    for prefix in itertools.product(range(len(acts)), repeat=n_subsets - 1):
-        choice_e = np.asarray(prefix, dtype=np.int64)[prefix_labels]
-        gains = _last_subset_gains(rows, start_by_action, j_by_action, choice_e, e0)
-        for a, gain in enumerate(gains.tolist()):
-            combo = prefix + (a,)
+    stack = [()]  # prefixes still to visit, the next one on top
+    while stack:
+        prefix = stack.pop()
+        depth = len(prefix)
+        k = partition.starts[depth]
+        if e0 < k or depth == last:
+            choice_e = np.asarray(prefix, dtype=np.int64)[labels[:k]]
+            p_e = rows[start_by_action[states[:k], choice_e]]
+            reach = _reaches_last_subset(p_e > _EDGE_EPS, k)
+        if e0 < k and not reach[e0]:
+            # the chain from e0 never climbs to level k: one gain for the whole subtree
+            choice = np.asarray(prefix + (0,) * (n_subsets - depth), dtype=np.int64)
+            gain = _class_gain(rows, start_by_action, j_by_action, choice[labels], e0)
+            gains = itertools.repeat(gain)
+        elif depth < last:
+            stack.extend(prefix + (a,) for a in reversed(range(n_acts)))
+            continue
+        else:
+            gains = _last_subset_gains(rows, start_by_action, j_by_action,
+                                       choice_e, p_e, reach, e0).tolist()
+        tails = itertools.product(range(n_acts), repeat=n_subsets - depth)
+        for tail, gain in zip(tails, gains):
+            combo = prefix + tail
             count += 1
             if table is not None:
                 table.append((tuple(int(acts[i]) for i in combo), gain))
@@ -253,28 +286,30 @@ def search_partition_policy(battery: BatteryModel, arrivals: ArrivalModel,
     )
 
 
-def _last_subset_gains(rows, start_by_action, j_by_action, choice_e, e0) -> np.ndarray:
+def _class_gain(rows, start_by_action, j_by_action, choice, e0) -> float:
+    """Gain from e0, by the class route, when each level e takes action ``choice[e]``."""
+    levels = np.arange(len(choice))
+    transition = rows[start_by_action[levels, choice]]
+    # looked up at call time, so a rebinding of chain.exact_occupation is seen
+    occupation = chain.exact_occupation(transition, e0)
+    return float(occupation @ j_by_action[levels, choice])
+
+
+def _last_subset_gains(rows, start_by_action, j_by_action, choice_e, p_e, reach,
+                       e0) -> np.ndarray:
     """Gain from e0 of every last-subset action, given the actions ``choice_e`` on E.
 
-    E holds the levels below k0 = len(choice_e); K holds the rest.
+    E holds the levels below k0 = len(choice_e); K holds the rest. ``p_e``
+    holds the rows of E and ``reach`` says which E states can reach K.
     """
     n, n_acts = start_by_action.shape
     k0 = len(choice_e)
     nk = n - k0
 
     def class_route(a):
-        levels = np.arange(n)
         choice = np.concatenate([choice_e, np.full(nk, a, dtype=np.int64)])
-        transition = rows[start_by_action[levels, choice]]
-        # looked up at call time, so a rebinding of chain.exact_occupation is seen
-        occupation = chain.exact_occupation(transition, e0)
-        return float(occupation @ j_by_action[levels, choice])
+        return _class_gain(rows, start_by_action, j_by_action, choice, e0)
 
-    p_e = rows[start_by_action[np.arange(k0), choice_e]]
-    reach = _reaches_last_subset(p_e > _EDGE_EPS, k0)
-    if e0 < k0 and not reach[e0]:
-        # the chain from e0 never enters K, so no last action changes its gain
-        return np.full(n_acts, class_route(0))
     if not reach.all():
         # E holds a closed class, so I - P_EE is singular
         return np.array([class_route(a) for a in range(n_acts)])
@@ -302,11 +337,12 @@ def _last_subset_gains(rows, start_by_action, j_by_action, choice_e, e0) -> np.n
 
 
 def _reaches_last_subset(support_e: np.ndarray, k0: int) -> np.ndarray:
-    """Which E states can reach K, given the support of their rows (E x all levels)."""
+    """Which levels below k0 can reach level k0 or above, given the support of
+    their rows (levels below k0 x all levels)."""
     into_k = support_e[:, k0:].any(axis=1)
     src, dst = np.nonzero(support_e[:, :k0])
-    # reversed edges over E, plus node k0 standing for K with an edge into
-    # every state that steps into K directly
+    # reversed edges below k0, plus node k0 standing for every level above,
+    # with an edge into every state that steps up there directly
     tail = np.concatenate([dst, np.full(int(into_k.sum()), k0)])
     head = np.concatenate([src, np.flatnonzero(into_k)])
     graph = csr_matrix((np.ones(len(tail), dtype=bool), (tail, head)),

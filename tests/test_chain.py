@@ -162,6 +162,15 @@ class TestLongRunAverage:
         pi = exact_occupation(transition, 0)
         assert pi == pytest.approx(np.array([0.0, 0.5, 0.5]))
 
+    @pytest.mark.parametrize("e0", [-1, 101])
+    def test_rejects_start_outside_battery(self, e0):
+        policy = StatePolicy(actions=(0,) * 101)
+        transition, _ = build_chain(BASELINE, GEOM20, CONS, REWARD, policy)
+        with pytest.raises(DomainError):
+            exact_occupation(transition, e0)
+        with pytest.raises(DomainError):
+            evaluate_policy(BASELINE, GEOM20, CONS, REWARD, policy, e0)
+
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 10 ** 6))
     def test_occupation_is_stationary_on_reachable_class(self, seed):

@@ -273,6 +273,15 @@ class TestRechargeHypothesis:
         ok, _ = validate_recharge_hypothesis(bat, arr)
         assert ok
 
+    def test_top_arrival_size_without_mass_is_not_maximal(self):
+        # three quanta never arrive; two store under one quantum from empty, so an
+        # empty battery never recharges
+        bat = BatteryModel(e_max=3, efficiency=QuadraticCapacitor(1.05))
+        arr = arrival_model_from_pmf([3, 3, 1, 0])
+        ok, violators = validate_recharge_hypothesis(bat, arr)
+        assert not ok
+        assert 0 in violators
+
 
 class TestRewardShape:
     def test_log_snr_ok(self):

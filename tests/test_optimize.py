@@ -29,7 +29,12 @@ from ehpolicy import (
 )
 from ehpolicy.chain import PartitionPolicy, StatePolicy, build_chain, exact_occupation
 from ehpolicy.core import DeviceTableConsumption, arrival_model_from_pmf
-from ehpolicy.errors import BudgetExceededError, ConvergenceError, UnsupportedPartitionError
+from ehpolicy.errors import (
+    BudgetExceededError,
+    ConvergenceError,
+    DomainError,
+    UnsupportedPartitionError,
+)
 from ehpolicy.harness import build_models
 
 BASELINE = BatteryModel(e_max=100, efficiency=QuadraticCapacitor(1.05))
@@ -40,7 +45,8 @@ CONS = IdentityConsumption()
 
 @st.composite
 def small_search_scenarios(draw):
-    """Small model, action set and partition; large actions make trap prefixes."""
+    """Small model, action set, partition and start level; large actions make trap
+    prefixes."""
     e_max = draw(st.integers(5, 40))
     if draw(st.booleans()):
         profile = QuadraticCapacitor(draw(st.floats(1.05, 3.0)))
@@ -54,20 +60,22 @@ def small_search_scenarios(draw):
         weights = draw(st.lists(st.integers(0, 10), min_size=2, max_size=10)
                        .filter(lambda w: sum(w[1:]) > 0))
         arrivals = arrival_model_from_pmf(weights)
-    powers = draw(st.sets(st.integers(1, e_max), min_size=1, max_size=4))
+    n_subsets = draw(st.integers(1, 4))
+    # at most 5^3 candidates with three subsets and 3^4 with four
+    powers = draw(st.sets(st.integers(1, e_max), min_size=1,
+                          max_size=4 if n_subsets < 4 else 2))
     actions = ActionSet((0,) + tuple(sorted(powers)))
-    n_subsets = draw(st.integers(1, 3))
+    e0 = draw(st.integers(0, e_max))
     return (BatteryModel(e_max=e_max, efficiency=profile), arrivals, actions,
-            Partition.uniform(e_max, n_subsets))
+            Partition.uniform(e_max, n_subsets), e0)
 
 
-def lazy_power(transition, squarings=20):
+def lazy_power(transition, squarings=64):
     """(P + I)/2 squared ``squarings`` times, rows renormalized against round-off.
 
     It has the recurrent classes, class laws and absorption weights of P, so
     power iteration on it has the same limit from every start, but a chain
-    that leaves a near-trap only after millions of frames converges in a
-    few steps.
+    that leaves a near-trap only after 1e18 frames converges in a few steps.
     """
     power = 0.5 * (transition + np.eye(len(transition)))
     for _ in range(squarings):
@@ -170,7 +178,8 @@ class TestSolvePerfectSoc:
         bat = BatteryModel(e_max=3, efficiency=QuadraticCapacitor(1.05))
         arr = arrival_model_from_pmf([3, 3, 1, 0])
         acts = ActionSet((0, 1))
-        policy = solve_perfect_soc(bat, arr, CONS, REWARD, acts)
+        with pytest.warns(UserWarning, match="recharge hypothesis"):
+            policy = solve_perfect_soc(bat, arr, CONS, REWARD, acts)
         for e0 in range(4):
             want = brute_force_best_state_policy(bat, arr, CONS, REWARD, acts, e0)
             got = evaluate_policy(bat, arr, CONS, REWARD, policy, e0).long_run_reward
@@ -252,35 +261,44 @@ class TestSearchPartitionPolicy:
 
     # the explicit examples hold trap prefixes (e0 never reaches the last
     # subset) beside prefixes that do reach it, a candidate whose chain has two
-    # closed classes, chains that mix too slowly for plain power iteration, and
-    # a censored chain whose nearly closed transient levels make its law solve
-    # so ill-conditioned that a law on those levels passed the residual check
-    @settings(max_examples=50, deadline=None,
+    # closed classes, chains that mix too slowly for plain power iteration, a
+    # censored chain whose nearly closed transient levels make its law solve
+    # so ill-conditioned that a law on those levels passed the residual check,
+    # first-subset actions from which e0 = 0 never leaves the first subset
+    # beside actions from which it does, and a start in the last subset
+    @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(scenario=small_search_scenarios())
     @example(scenario=(BatteryModel(e_max=30, efficiency=QuadraticCapacitor(1.05)),
                        make_truncated_geometric(6.0, 15), ActionSet((0, 1, 2, 6)),
-                       Partition.uniform(30, 2)))
+                       Partition.uniform(30, 2), 0))
     @example(scenario=(BatteryModel(e_max=12, efficiency=QuadraticCapacitor(1.3)),
                        arrival_model_from_pmf([1, 1]), ActionSet((0, 5, 6)),
-                       Partition.uniform(12, 1)))
+                       Partition.uniform(12, 1), 0))
     @example(scenario=(BatteryModel(e_max=31, efficiency=QuadraticCapacitor(1.9)),
                        arrival_model_from_pmf([4, 0, 2, 4, 0, 10, 5, 0, 7]),
-                       ActionSet((0, 2, 6, 15, 31)), Partition.uniform(31, 3)))
+                       ActionSet((0, 2, 6, 15, 31)), Partition.uniform(31, 3), 0))
     @example(scenario=(BatteryModel(e_max=18, efficiency=QuadraticCapacitor(1.0625)),
                        make_truncated_geometric(7.5, 10), ActionSet((0, 1)),
-                       Partition.uniform(18, 1)))
+                       Partition.uniform(18, 1), 0))
+    @example(scenario=(BatteryModel(e_max=30, efficiency=QuadraticCapacitor(1.05)),
+                       make_truncated_geometric(6.0, 15), ActionSet((0, 1, 2, 6)),
+                       Partition.uniform(30, 3), 0))
+    @example(scenario=(BatteryModel(e_max=20, efficiency=QuadraticCapacitor(1.3)),
+                       make_truncated_geometric(3.0, 8), ActionSet((0, 2, 5)),
+                       Partition.uniform(20, 3), 17))
     def test_every_candidate_gain_matches_oracles(self, power_iteration, scenario):
-        battery, arrivals, actions, part = scenario
+        battery, arrivals, actions, part, e0 = scenario
         result = search_partition_policy(battery, arrivals, CONS, REWARD, actions, part,
-                                         keep_table=True)
+                                         e0, keep_table=True)
         assert result.evaluated_count == len(actions) ** part.n_subsets
         for combo, gain in result.reward_by_policy:
             policy = PartitionPolicy(partition=part, actions=combo)
-            want = evaluate_policy(battery, arrivals, CONS, REWARD, policy).long_run_reward
+            want = evaluate_policy(battery, arrivals, CONS, REWARD, policy,
+                                   e0).long_run_reward
             assert gain == pytest.approx(want, abs=1e-10)
             transition, state_reward = build_chain(battery, arrivals, CONS, REWARD, policy)
-            g_iter, _ = power_iteration(lazy_power(transition), state_reward, 0)
+            g_iter, _ = power_iteration(lazy_power(transition), state_reward, e0)
             assert gain == pytest.approx(g_iter, abs=1e-8)
 
     def test_reported_gain_is_the_winners_gain(self):
@@ -294,6 +312,34 @@ class TestSearchPartitionPolicy:
                                              Partition.uniform(battery.e_max, 2))
             analysis = evaluate_policy(battery, arrivals, CONS, reward, result.best_policy)
             assert result.best_reward == pytest.approx(analysis.long_run_reward, abs=1e-11)
+
+    def test_trapped_subtree_scored_once(self, monkeypatch):
+        # fig3's coarse N=3 stage: from e0 = 0 most first-subset actions keep the
+        # chain in the first subset, and each such action's 26^2 candidates share
+        # one class-route gain; scored one candidate prefix at a time, it took 624
+        models = build_models(get_preset("fig3"))
+        coarse = ActionSet(tuple(int(a) for a in models.actions.as_array()[::4]))
+        assert len(coarse) == 26
+        calls = []
+        occupation = exact_occupation
+
+        def counted(transition, e0):
+            calls.append(e0)
+            return occupation(transition, e0)
+
+        monkeypatch.setattr("ehpolicy.chain.exact_occupation", counted)
+        result = search_partition_policy(
+            models.battery, models.arrivals, models.cons, models.reward, coarse,
+            Partition.uniform(models.battery.e_max, 3))
+        assert len(calls) <= 26
+        assert result.evaluated_count == 26 ** 3
+        assert result.best_policy.actions == (0, 16, 32)
+
+    @pytest.mark.parametrize("e0", [-1, 101])
+    def test_rejects_start_outside_battery(self, e0):
+        with pytest.raises(DomainError):
+            search_partition_policy(BASELINE, GEOM20, CONS, REWARD, ActionSet((0, 5)),
+                                    Partition.uniform(100, 2), e0)
 
     def test_budget_guard(self):
         part = Partition.uniform(100, 3)
