@@ -32,7 +32,6 @@ from .core import (  # noqa: F401
     integrate_frame,
     make_truncated_geometric,
     make_truncated_poisson,
-    sample_arrival,
     sample_arrivals,
     validate_recharge_hypothesis,
 )
@@ -40,7 +39,6 @@ from .config import ScenarioConfig  # noqa: F401
 from .optimize import (  # noqa: F401
     BoundReport,
     SearchResult,
-    beta_star,
     derive_bp,
     derive_lcp,
     refine_partition_search,

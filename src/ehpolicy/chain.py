@@ -89,10 +89,6 @@ class Partition:
             out[sub] = i
         return out
 
-    def refines(self, other: "Partition") -> bool:
-        """True if every subset of ``other`` is a union of subsets of self."""
-        return self.e_max == other.e_max and set(other.starts) <= set(self.starts)
-
 
 @dataclass(frozen=True)
 class StatePolicy:

@@ -289,13 +289,27 @@ class ScenarioConfig:
         # each section checks its own numeric fields the same way
         _check_int("frames", self.frames, 1)
         _check_int("seed", self.seed, 0)
+        if self.policy_source not in _POLICY_SOURCES:
+            raise ConfigurationError(
+                f"policy_source must be one of {_POLICY_SOURCES}, got {self.policy_source!r}")
+        if self.fixed_actions is not None:
+            if not isinstance(self.fixed_actions, list):
+                raise ConfigurationError(
+                    f"fixed_actions must be a list, got {self.fixed_actions!r}")
+            for value in self.fixed_actions:
+                _check_int("fixed_actions", value, 0)
+        if self.policy_source == "fixed":
+            subsets = (self.partition.n_subsets if self.partition.boundaries is None
+                       else len(self.partition.boundaries))
+            lengths = (subsets, self.battery.e_max + 1)
+            if self.fixed_actions is None or len(self.fixed_actions) not in lengths:
+                raise ConfigurationError(
+                    f"policy_source: fixed requires fixed_actions of {subsets} actions "
+                    f"(one per subset) or {lengths[1]} (one per level)")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioConfig":
         _take(d, "config", {f for f in cls.__dataclass_fields__})
-        if "policy_source" in d and d["policy_source"] not in _POLICY_SOURCES:
-            raise ConfigurationError(
-                f"policy_source must be one of {_POLICY_SOURCES}, got {d['policy_source']!r}")
         kwargs = dict(d)
         for key, sub in (("battery", BatteryConfig), ("arrivals", ArrivalConfig),
                          ("reward", RewardConfig), ("consumption", ConsumptionConfig),

@@ -302,11 +302,6 @@ def make_truncated_poisson(mean_target: float, b_max: int) -> ArrivalModel:
     )
 
 
-def sample_arrival(model: ArrivalModel, rng: np.random.Generator) -> int:
-    """One arrival draw; deterministic given the generator state."""
-    return int(np.searchsorted(model.cdf_array(), rng.random(), side="right"))
-
-
 def sample_arrivals(model: ArrivalModel, rng: np.random.Generator, size: int) -> np.ndarray:
     """Vector of i.i.d. arrival draws."""
     u = rng.random(size)

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -17,6 +18,7 @@ from .config import ScenarioConfig
 from .core import validate_recharge_hypothesis
 from .errors import EHPolicyError
 from .optimize import (
+    BoundReport,
     derive_bp,
     derive_lcp,
     refine_partition_search,
@@ -79,15 +81,15 @@ def write_results(rows, out_dir, name: str = "results.csv") -> Path:
     return path
 
 
-def write_policy_file(path, entries) -> Path:
+def write_policy_file(path, policy, cons) -> Path:
     """Policy CSV: one row per state or subset with its action and consumption."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["index", "action", "consumption"])
-        for idx, action, cons in entries:
-            writer.writerow([idx, action, cons])
+        for idx, action in enumerate(policy.actions):
+            writer.writerow([idx, action, cons.consumption(action)])
     return path
 
 
@@ -137,60 +139,84 @@ def build_models(cfg: ScenarioConfig, e_max: int | None = None,
 
 
 def _run_search(cfg: ScenarioConfig, models: BuiltScenario, partition: Partition):
-    use_refine = (cfg.search.refine_above is not None
-                  and partition.n_subsets > cfg.search.refine_above)
-    if use_refine:
-        return refine_partition_search(
-            models.battery, models.arrivals, models.cons, models.reward,
-            models.actions, partition,
-            coarse_step=cfg.search.coarse_step, budget=cfg.search.budget)
-    return search_partition_policy(
-        models.battery, models.arrivals, models.cons, models.reward,
-        models.actions, partition, budget=cfg.search.budget)
+    m, search = models, cfg.search
+    args = (m.battery, m.arrivals, m.cons, m.reward, m.actions, partition)
+    if search.refine_above is not None and partition.n_subsets > search.refine_above:
+        return refine_partition_search(*args, coarse_step=search.coarse_step,
+                                       budget=search.budget)
+    return search_partition_policy(*args, budget=search.budget)
 
 
-def resolve_policy(cfg: ScenarioConfig, models: BuiltScenario,
-                   partition: Partition):
-    """Build the policy requested by ``policy_source``; returns (name, policy)."""
-    source = cfg.policy_source
-    if source == "solve":
-        return "optimal_perfect", solve_perfect_soc(
-            models.battery, models.arrivals, models.cons, models.reward, models.actions)
-    if source == "search":
-        return f"optimal_partition_N{partition.n_subsets}", _run_search(
-            cfg, models, partition).best_policy
-    if source == "lcp":
-        perfect = solve_perfect_soc(
-            models.battery, models.arrivals, models.cons, models.reward, models.actions)
-        return "low_complexity", derive_lcp(perfect, models.cons, partition, models.actions)
-    if source == "bp":
-        bound = upper_bound(models.battery, models.arrivals, models.reward)
-        return "balanced", derive_bp(partition, bound, models.actions, models.cons)
-    if source == "cross_apply":
-        ideal_cfg_models = build_models(cfg, e_max=models.battery.e_max,
-                                        band=None, ideal=True)
-        ideal_cfg_models = BuiltScenario(
-            ideal_cfg_models.battery, models.arrivals, models.cons,
-            models.reward, models.actions)
-        result = _run_search(cfg, ideal_cfg_models, partition)
-        return "ideal_policy_crossapplied", result.best_policy
-    if source == "fixed":
-        if cfg.fixed_actions is None:
-            raise EHPolicyError("policy_source=fixed requires fixed_actions")
-        acts = tuple(int(a) for a in cfg.fixed_actions)
-        if len(acts) == partition.n_subsets:
-            return "fixed", PartitionPolicy(partition=partition, actions=acts)
-        if len(acts) == models.battery.e_max + 1:
-            return "fixed", StatePolicy(actions=acts)
-        raise EHPolicyError(
-            "fixed_actions length must match the partition or the state space")
-    raise EHPolicyError(f"unknown policy_source {source!r}")
+@dataclass
+class _Point:
+    """One scenario point: the models, bound and partition its policies and rows share."""
+    cfg: ScenarioConfig
+    models: BuiltScenario
+    partition: Partition | None = None
+    band: str | None = None
+    perfect: StatePolicy | None = field(default=None, init=False)  # serves solve and lcp
+    bound: BoundReport = field(init=False)
+
+    def __post_init__(self):
+        m = self.models
+        self.bound = upper_bound(m.battery, m.arrivals, m.reward)
+
+    def row(self, policy: str, t0: float, **values) -> ResultRow:
+        """The result row of ``policy`` at this point, timed from ``t0``."""
+        return ResultRow(
+            scenario=self.cfg.scenario, policy=policy, band=self.band or "",
+            e_max=self.models.battery.e_max,
+            g_upper_bound=self.bound.g_ub, g_ideal_bound=self.bound.g_ideal,
+            wall_time_s=time.perf_counter() - t0, **values)
+
+    def evaluate(self, policy) -> float:
+        m = self.models
+        return evaluate_policy(m.battery, m.arrivals, m.cons, m.reward, policy).long_run_reward
 
 
-def _policy_entries(policy, cons, e_max):
-    if isinstance(policy, StatePolicy):
-        return [(e, a, cons.consumption(a)) for e, a in enumerate(policy.actions)]
-    return [(i, a, cons.consumption(a)) for i, a in enumerate(policy.actions)]
+def _perfect(point: _Point) -> StatePolicy:
+    if point.perfect is None:
+        m = point.models
+        point.perfect = solve_perfect_soc(m.battery, m.arrivals, m.cons, m.reward, m.actions)
+    return point.perfect
+
+
+def _searched(point: _Point) -> PartitionPolicy:
+    return _run_search(point.cfg, point.models, point.partition).best_policy
+
+
+def _low_complexity(point: _Point) -> PartitionPolicy:
+    return derive_lcp(_perfect(point), point.models.cons, point.partition,
+                      point.models.actions)
+
+
+def _balanced(point: _Point) -> PartitionPolicy:
+    return derive_bp(point.partition, point.bound, point.models.actions, point.models.cons)
+
+
+def _cross_applied(point: _Point) -> PartitionPolicy:
+    """The policy searched on a lossless battery, to be applied to the real one."""
+    ideal = build_models(point.cfg, point.models.battery.e_max, point.band, ideal=True)
+    return _run_search(point.cfg, ideal, point.partition).best_policy
+
+
+def _fixed(point: _Point):
+    acts = tuple(point.cfg.fixed_actions)
+    if len(acts) == point.partition.n_subsets:
+        return PartitionPolicy(partition=point.partition, actions=acts)
+    return StatePolicy(actions=acts)  # one per level, as the config checks
+
+
+# policy_source -> (row name, maker); {n} is the partition's subset count
+POLICY_MAKERS = {
+    "search": ("optimal_partition_N{n}", _searched),
+    "solve": ("optimal_perfect", _perfect),
+    "lcp": ("low_complexity", _low_complexity),
+    "bp": ("balanced", _balanced),
+    "cross_apply": ("ideal_policy_crossapplied", _cross_applied),
+    "fixed": ("fixed", _fixed),
+}
+SWEPT_SOURCES = ("search", "solve", "lcp", "bp", "cross_apply")  # in row order
 
 
 # ---------------------------------------------------------------------------
@@ -203,116 +229,54 @@ def run_solve(cfg: ScenarioConfig, out_dir) -> list:
     for tag, ideal in variants:
         t0 = time.perf_counter()
         models = build_models(cfg, ideal=ideal)
-        policy = solve_perfect_soc(
-            models.battery, models.arrivals, models.cons, models.reward, models.actions)
-        analysis = evaluate_policy(
-            models.battery, models.arrivals, models.cons, models.reward, policy)
-        bound = upper_bound(models.battery, models.arrivals, models.reward)
-        write_policy_file(
-            Path(out_dir) / f"policy_{cfg.scenario}_perfect_{tag}.csv",
-            _policy_entries(policy, models.cons, models.battery.e_max))
-        rows.append(ResultRow(
-            scenario=cfg.scenario,
-            policy=f"optimal_perfect_{tag}",
-            e_max=models.battery.e_max,
-            n_subsets=models.battery.e_max + 1,
-            g_analytic=analysis.long_run_reward,
-            g_upper_bound=bound.g_ub,
-            g_ideal_bound=bound.g_ideal,
-            wall_time_s=time.perf_counter() - t0,
-        ))
+        point = _Point(cfg, models)
+        policy = _perfect(point)
+        write_policy_file(Path(out_dir) / f"policy_{cfg.scenario}_perfect_{tag}.csv",
+                          policy, models.cons)
+        rows.append(point.row(f"optimal_perfect_{tag}", t0,
+                              n_subsets=models.battery.e_max + 1,
+                              g_analytic=point.evaluate(policy)))
     write_results(rows, out_dir)
     return rows
 
 
 def run_search(cfg: ScenarioConfig, out_dir) -> list:
     rows = []
-    n_list = cfg.sweep.n_subsets or [cfg.partition.n_subsets]
     models = build_models(cfg)
-    bound = upper_bound(models.battery, models.arrivals, models.reward)
-    for n in n_list:
+    point = _Point(cfg, models)
+    for n in cfg.sweep.n_subsets or [cfg.partition.n_subsets]:
         t0 = time.perf_counter()
-        partition = cfg.partition.build(models.battery.e_max, n_subsets=n)
-        result = _run_search(cfg, models, partition)
-        write_policy_file(
-            Path(out_dir) / f"policy_{cfg.scenario}_N{n}.csv",
-            _policy_entries(result.best_policy, models.cons, models.battery.e_max))
-        rows.append(ResultRow(
-            scenario=cfg.scenario,
-            policy=f"optimal_partition_N{n}",
-            e_max=models.battery.e_max,
-            n_subsets=n,
-            g_analytic=result.best_reward,
-            g_upper_bound=bound.g_ub,
-            g_ideal_bound=bound.g_ideal,
-            wall_time_s=time.perf_counter() - t0,
-        ))
+        result = _run_search(cfg, models, cfg.partition.build(models.battery.e_max, n))
+        write_policy_file(Path(out_dir) / f"policy_{cfg.scenario}_N{n}.csv",
+                          result.best_policy, models.cons)
+        rows.append(point.row(f"optimal_partition_N{n}", t0, n_subsets=n,
+                              g_analytic=result.best_reward))
     write_results(rows, out_dir)
     return rows
 
 
 def _sweep_point(args):
     cfg, e_max, band = args
-    rows = []
     try:
         models = build_models(cfg, e_max=e_max, band=band)
-        partition = cfg.partition.build(models.battery.e_max)
-        bound = upper_bound(models.battery, models.arrivals, models.reward)
+        point = _Point(cfg, models, cfg.partition.build(models.battery.e_max), band)
     except EHPolicyError as exc:
         return [ResultRow(scenario=cfg.scenario, policy="(setup)", e_max=e_max,
                           band=band or "", error=str(exc))]
-
-    def evaluate(name, maker):
+    rows = []
+    n = point.partition.n_subsets
+    for source in SWEPT_SOURCES:
         t0 = time.perf_counter()
+        name, maker = POLICY_MAKERS[source]
         try:
-            policy = maker()
-            analysis = evaluate_policy(
-                models.battery, models.arrivals, models.cons, models.reward, policy)
-            return ResultRow(
-                scenario=cfg.scenario, policy=name, band=band or "",
-                e_max=models.battery.e_max, n_subsets=partition.n_subsets,
-                g_analytic=analysis.long_run_reward,
-                g_upper_bound=bound.g_ub, g_ideal_bound=bound.g_ideal,
-                wall_time_s=time.perf_counter() - t0)
+            values = {"g_analytic": point.evaluate(maker(point))}
         except EHPolicyError as exc:
-            return ResultRow(
-                scenario=cfg.scenario, policy=name, band=band or "",
-                e_max=models.battery.e_max, n_subsets=partition.n_subsets,
-                g_upper_bound=bound.g_ub, g_ideal_bound=bound.g_ideal,
-                wall_time_s=time.perf_counter() - t0, error=str(exc))
-
-    solved = []  # one solve serves optimal_perfect and low_complexity
-
-    def perfect():
-        if not solved:
-            solved.append(solve_perfect_soc(
-                models.battery, models.arrivals, models.cons, models.reward, models.actions))
-        return solved[0]
-
-    def searched():
-        return _run_search(cfg, models, partition).best_policy
-
-    def low_complexity():
-        return derive_lcp(perfect(), models.cons, partition, models.actions)
-
-    def balanced():
-        return derive_bp(partition, bound, models.actions, models.cons)
-
-    def cross_applied():
-        ideal = build_models(cfg, e_max=e_max, band=band, ideal=True)
-        return _run_search(cfg, ideal, partition).best_policy
-
-    rows.append(evaluate(f"optimal_partition_N{partition.n_subsets}", searched))
-    rows.append(evaluate("optimal_perfect", perfect))
-    rows.append(evaluate("low_complexity", low_complexity))
-    rows.append(evaluate("balanced", balanced))
-    rows.append(evaluate("ideal_policy_crossapplied", cross_applied))
+            values = {"error": str(exc)}
+        rows.append(point.row(name.format(n=n), t0, n_subsets=n, **values))
     return rows
 
 
 def run_sweep(cfg: ScenarioConfig, out_dir, threads: int = 1) -> list:
-    import os
-
     limit = os.cpu_count() or 1
     if not 1 <= threads <= limit:
         raise EHPolicyError(f"--threads counts worker processes, 1 to {limit}; got {threads}")
@@ -332,25 +296,17 @@ def run_sweep(cfg: ScenarioConfig, out_dir, threads: int = 1) -> list:
 def run_simulate(cfg: ScenarioConfig, out_dir) -> list:
     t0 = time.perf_counter()
     models = build_models(cfg)
-    partition = cfg.partition.build(models.battery.e_max)
-    name, policy = resolve_policy(cfg, models, partition)
-    analysis = evaluate_policy(
-        models.battery, models.arrivals, models.cons, models.reward, policy)
+    point = _Point(cfg, models, cfg.partition.build(models.battery.e_max))
+    name, maker = POLICY_MAKERS[cfg.policy_source]
+    policy = maker(point)
     report = simulate(
         models.battery, models.arrivals, models.cons, models.reward, policy,
         frames=cfg.frames, seed=cfg.seed)
-    bound = upper_bound(models.battery, models.arrivals, models.reward)
-    rows = [ResultRow(
-        scenario=cfg.scenario, policy=name,
-        e_max=models.battery.e_max,
-        n_subsets=partition.n_subsets if isinstance(policy, PartitionPolicy) else None,
-        g_analytic=analysis.long_run_reward,
-        g_simulated=report.empirical_reward,
-        std_error=report.std_error,
-        g_upper_bound=bound.g_ub,
-        g_ideal_bound=bound.g_ideal,
-        wall_time_s=time.perf_counter() - t0,
-    )]
+    n = point.partition.n_subsets
+    rows = [point.row(
+        name.format(n=n), t0, n_subsets=n if isinstance(policy, PartitionPolicy) else None,
+        g_analytic=point.evaluate(policy),
+        g_simulated=report.empirical_reward, std_error=report.std_error)]
     write_results(rows, out_dir)
     return rows
 
@@ -358,23 +314,17 @@ def run_simulate(cfg: ScenarioConfig, out_dir) -> list:
 def run_bound(cfg: ScenarioConfig, out_dir) -> list:
     t0 = time.perf_counter()
     models = build_models(cfg)
-    bound = upper_bound(models.battery, models.arrivals, models.reward)
+    point = _Point(cfg, models)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / f"bound_{cfg.scenario}.csv", "w", newline="",
               encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["arrival_quanta", "best_start_level", "max_stored_quanta"])
-        for b, (a_star, beta) in enumerate(zip(bound.a_star_table, bound.beta_star_table)):
+        for b, (a_star, beta) in enumerate(zip(point.bound.a_star_table,
+                                               point.bound.beta_star_table)):
             writer.writerow([b, f"{a_star:.12g}", f"{beta:.12g}"])
-    rows = [ResultRow(
-        scenario=cfg.scenario, policy="upper_bound",
-        e_max=models.battery.e_max,
-        g_analytic=bound.g_ub,
-        g_upper_bound=bound.g_ub,
-        g_ideal_bound=bound.g_ideal,
-        wall_time_s=time.perf_counter() - t0,
-    )]
+    rows = [point.row("upper_bound", t0, g_analytic=point.bound.g_ub)]
     write_results(rows, out_dir)
     return rows
 

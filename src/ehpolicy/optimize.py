@@ -190,18 +190,47 @@ class SearchResult:
     best_policy: PartitionPolicy
     best_reward: float
     evaluated_count: int
-    reward_by_policy: tuple | None = None
 
 
 def search_partition_policy(battery: BatteryModel, arrivals: ArrivalModel,
                             cons: ConsumptionMap, reward: RewardModel,
                             actions: ActionSet, partition: Partition, e0: int = 0,
-                            budget: int = 10 ** 7,
-                            keep_table: bool = False) -> SearchResult:
+                            budget: int = 10 ** 7) -> SearchResult:
     """Enumerate every deterministic per-subset action assignment and return the best.
 
     Ties (within strict float comparison) resolve to the lexicographically
-    smallest action vector because enumeration is in lexicographic order.
+    smallest action vector because enumeration is in lexicographic order;
+    ``_candidate_gains`` describes how each candidate is scored.
+    """
+    if not 0 <= e0 <= battery.e_max:
+        raise DomainError(f"initial state {e0} out of range")
+    n_policies = len(actions) ** partition.n_subsets
+    if n_policies > budget:
+        raise BudgetExceededError(
+            f"{len(actions)}^{partition.n_subsets} = {n_policies} policies exceeds budget "
+            f"{budget}; coarsen the action grid or reduce the number of subsets")
+
+    best_gain = -math.inf
+    best_combo = None
+    count = 0
+    for combo, gain in _candidate_gains(battery, arrivals, cons, reward, actions,
+                                        partition, e0):
+        count += 1
+        if gain > best_gain:
+            best_gain = gain
+            best_combo = combo
+    policy = PartitionPolicy(
+        partition=partition,
+        actions=tuple(actions.actions[i] for i in best_combo))
+    return SearchResult(best_policy=policy, best_reward=float(best_gain),
+                        evaluated_count=count)
+
+
+def _candidate_gains(battery: BatteryModel, arrivals: ArrivalModel, cons: ConsumptionMap,
+                     reward: RewardModel, actions: ActionSet, partition: Partition, e0: int):
+    """Yield (combo, gain) for every per-subset action assignment, in lexicographic
+    order; ``combo`` holds one index into ``actions`` per subset, and ``gain`` is
+    the long-run reward from ``e0``.
 
     The candidates form a prefix tree over the subsets, walked in
     lexicographic order. At each depth i, if ``e0`` lies below subset i, a
@@ -219,15 +248,7 @@ def search_partition_policy(battery: BatteryModel, arrivals: ArrivalModel,
     censored chain is not unichain) take the class route.
     """
     n = battery.e_max + 1
-    if not 0 <= e0 < n:
-        raise DomainError(f"initial state {e0} out of range")
     n_subsets = partition.n_subsets
-    n_policies = len(actions) ** n_subsets
-    if n_policies > budget:
-        raise BudgetExceededError(
-            f"{len(actions)}^{n_subsets} = {n_policies} policies exceeds budget {budget}; "
-            "coarsen the action grid or reduce the number of subsets")
-
     rows = charge_matrix(battery, arrivals)
     states = np.arange(n)
     acts = actions.as_array()
@@ -241,10 +262,6 @@ def search_partition_policy(battery: BatteryModel, arrivals: ArrivalModel,
 
     labels = partition.labels()
     last = n_subsets - 1
-    best_gain = -math.inf
-    best_combo = None
-    table = [] if keep_table else None
-    count = 0
     stack = [()]  # prefixes still to visit, the next one on top
     while stack:
         prefix = stack.pop()
@@ -267,23 +284,7 @@ def search_partition_policy(battery: BatteryModel, arrivals: ArrivalModel,
                                        choice_e, p_e, reach, e0).tolist()
         tails = itertools.product(range(n_acts), repeat=n_subsets - depth)
         for tail, gain in zip(tails, gains):
-            combo = prefix + tail
-            count += 1
-            if table is not None:
-                table.append((tuple(int(acts[i]) for i in combo), gain))
-            if gain > best_gain:
-                best_gain = gain
-                best_combo = combo
-
-    policy = PartitionPolicy(
-        partition=partition,
-        actions=tuple(int(acts[i]) for i in best_combo))
-    return SearchResult(
-        best_policy=policy,
-        best_reward=float(best_gain),
-        evaluated_count=count,
-        reward_by_policy=tuple(table) if keep_table else None,
-    )
+            yield prefix + tail, gain
 
 
 def _class_gain(rows, start_by_action, j_by_action, choice, e0) -> float:
@@ -453,20 +454,14 @@ class BoundReport:
     g_ideal: float               # reward at the raw mean arrival (lossless bound)
 
 
-def beta_star(battery: BatteryModel, b: int):
-    """Maximum storable increment for an arrival of ``b`` quanta, over continuous
-    start levels in [0, e_max]; returns (a_star, beta).
+def _beta_star_vec(battery: BatteryModel, bs):
+    """Maximum storable increment for arrivals of each of ``bs`` quanta, over
+    continuous start levels in [0, e_max]; returns the arrays (a_star, beta).
 
     The increment is evaluated on the exact charging flow without the
     capacity clip, so overflow is not conflated with storage loss. Coarse
     grid seeding plus bisection on the sign of the increment's slope.
     """
-    a_star, beta = _beta_star_vec(battery, [b])
-    return float(a_star[0]), float(beta[0])
-
-
-def _beta_star_vec(battery: BatteryModel, bs):
-    """Vectorized beta-star over a list of arrival sizes."""
     b_arr = np.asarray(list(bs), dtype=float)
     e_max = battery.e_max
     grid = np.linspace(0.0, e_max, 257)

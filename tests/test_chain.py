@@ -46,10 +46,6 @@ class TestPartition:
         assert part.n_subsets == 6
         assert np.array_equal(part.labels(), np.arange(6))
 
-    def test_refinement(self):
-        assert Partition.uniform(100, 4).refines(Partition.uniform(100, 2))
-        assert not Partition.uniform(100, 3).refines(Partition.uniform(100, 2))
-
     def test_bad_boundaries(self):
         with pytest.raises(ConfigurationError):
             Partition(e_max=10, starts=(1, 5))

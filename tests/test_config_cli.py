@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import os
 
 import pytest
@@ -6,7 +7,7 @@ import yaml
 
 from ehpolicy import ScenarioConfig, get_preset, harness, preset_names
 from ehpolicy.cli import main
-from ehpolicy.config import ActionConfig, PartitionConfig
+from ehpolicy.config import _POLICY_SOURCES, ActionConfig, PartitionConfig
 from ehpolicy.core import DeviceTableConsumption, IdentityConsumption
 from ehpolicy.errors import ConfigurationError
 from ehpolicy.harness import RESULT_COLUMNS, build_models
@@ -72,6 +73,8 @@ class TestConfig:
     def test_bad_policy_source(self):
         with pytest.raises(ConfigurationError):
             ScenarioConfig.from_dict({"policy_source": "magic"})
+        with pytest.raises(ConfigurationError, match="policy_source"):
+            dataclasses.replace(get_preset("baseline"), policy_source="magic")
 
     def test_action_range_includes_zero(self):
         acts = ActionConfig(max_power=10, step=3).build(100, IdentityConsumption())
@@ -289,9 +292,13 @@ class TestCli:
         ("search", "coarse_step", "abc"), ("search", "coarse_step", 0),
         ("sweep", "e_max", [10.5]), ("sweep", "e_max", [20, 0]), ("sweep", "e_max", 20),
         ("sweep", "n_subsets", [1.5]), ("sweep", "n_subsets", [0]),
-        ("sweep", "n_subsets", 2), ("sweep", "bands", "868MHz")])
+        ("sweep", "n_subsets", 2), ("sweep", "bands", "868MHz"),
+        (None, "policy_source", "fixed"), (None, "fixed_actions", [1.5, 2.9]),
+        (None, "fixed_actions", [2, -1]), (None, "fixed_actions", ["abc"]),
+        (None, "fixed_actions", [True]), (None, "fixed_actions", 3)])
     def test_bad_numeric_field_fails_before_searching(self, tmp_path, capsys, monkeypatch,
                                                       section, key, bad):
+        # a section of None is a top-level field
         def no_solve(*args, **kwargs):
             raise AssertionError("a policy was solved")
 
@@ -299,13 +306,49 @@ class TestCli:
         monkeypatch.setattr(harness, "search_partition_policy", no_solve)
         monkeypatch.setattr(harness, "refine_partition_search", no_solve)
         data = yaml.safe_load(SMALL_YAML)
-        data.setdefault(section, {})[key] = bad
+        (data if section is None else data.setdefault(section, {}))[key] = bad
         path = tmp_path / "bad.yaml"
         path.write_text(yaml.safe_dump(data), encoding="utf-8")
         out = tmp_path / "out"
         assert main(["search", "--config", str(path), "--out", str(out)]) == 2
-        assert f"{section}.{key}" in capsys.readouterr().err
+        assert (key if section is None else f"{section}.{key}") in capsys.readouterr().err
         assert not out.exists()
+
+    def test_policy_sources_match_sweep_rows(self, small_config, tmp_path):
+        assert set(harness.POLICY_MAKERS) == set(_POLICY_SOURCES)
+        base = yaml.safe_load(SMALL_YAML)
+
+        def run(command, name, **fields):
+            path = tmp_path / f"{name}.yaml"
+            path.write_text(yaml.safe_dump({**base, **fields}), encoding="utf-8")
+            out = tmp_path / name
+            assert main([command, "--config", str(path), "--out", str(out)]) == 0
+            return out
+
+        swept = _read_results(run("sweep", "sweep"))
+        simulated = [_read_results(run("simulate", source, policy_source=source))[0]
+                     for source in ("search", "solve", "lcp", "bp", "cross_apply")]
+        assert ([(r["policy"], r["g_analytic"]) for r in simulated]
+                == [(r["policy"], r["g_analytic"]) for r in swept])
+        twins = {r["policy"]: r for r in swept}
+        # fixed_actions of either length: the searched policy (one action per
+        # subset) and the solved one (one per level) earn their sweep rows' gains
+        for command, policy_csv, twin, n_subsets in (
+                ("search", "policy_small_N2.csv", "optimal_partition_N2", "2"),
+                ("solve", "policy_small_perfect_real.csv", "optimal_perfect", "")):
+            with open(run(command, command) / policy_csv, newline="", encoding="utf-8") as fh:
+                acts = [int(r["action"]) for r in csv.DictReader(fh)]
+            out = run("simulate", f"fixed_{command}", policy_source="fixed",
+                      fixed_actions=acts)
+            row = _read_results(out)[0]
+            assert (row["policy"], row["n_subsets"]) == ("fixed", n_subsets)
+            assert row["g_analytic"] == twins[twin]["g_analytic"]
+        # any other length fails when the config loads
+        path = tmp_path / "fixed_bad.yaml"
+        path.write_text(yaml.safe_dump({**base, "policy_source": "fixed",
+                                        "fixed_actions": [0, 2, 4]}), encoding="utf-8")
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "bad")]) == 2
+        assert not (tmp_path / "bad").exists()
 
     def test_preset_runs_without_config_file(self, tmp_path):
         out = tmp_path / "out"

@@ -20,7 +20,6 @@ from ehpolicy import (
     integrate_frame,
     make_truncated_geometric,
     make_truncated_poisson,
-    sample_arrival,
     sample_arrivals,
     validate_recharge_hypothesis,
 )
@@ -238,7 +237,7 @@ class TestSampling:
     def test_degenerate_pmf(self):
         arr = arrival_model_from_pmf([0] * 7 + [1.0])
         rng = np.random.default_rng(0)
-        assert all(sample_arrival(arr, rng) == 7 for _ in range(20))
+        assert np.all(sample_arrivals(arr, rng, 20) == 7)
 
     def test_same_seed_same_sequence(self):
         arr = make_truncated_geometric(20.0, 50)

@@ -16,7 +16,6 @@ from ehpolicy import (
     Partition,
     QuadraticCapacitor,
     TabulatedEfficiency,
-    beta_star,
     derive_bp,
     derive_lcp,
     evaluate_policy,
@@ -36,6 +35,7 @@ from ehpolicy.errors import (
     UnsupportedPartitionError,
 )
 from ehpolicy.harness import build_models
+from ehpolicy.optimize import _beta_star_vec, _candidate_gains
 
 BASELINE = BatteryModel(e_max=100, efficiency=QuadraticCapacitor(1.05))
 GEOM20 = make_truncated_geometric(20.0, 50)
@@ -82,6 +82,12 @@ def lazy_power(transition, squarings=64):
         power = power @ power
         power /= power.sum(axis=1, keepdims=True)
     return power
+
+
+def candidate_gains(battery, arrivals, actions, partition, e0=0):
+    """{action vector: gain} of every candidate the partition search scores."""
+    gains = _candidate_gains(battery, arrivals, CONS, REWARD, actions, partition, e0)
+    return {tuple(actions.actions[i] for i in combo): gain for combo, gain in gains}
 
 
 def brute_force_best_state_policy(battery, arrivals, cons, reward, actions, e0=0):
@@ -220,16 +226,15 @@ class TestSearchPartitionPolicy:
         analysis = evaluate_policy(BASELINE, GEOM20, CONS, REWARD, result.best_policy)
         assert result.best_reward == pytest.approx(analysis.long_run_reward, abs=1e-9)
 
-    def test_keep_table_is_exhaustive(self):
+    def test_candidate_gains_are_exhaustive(self):
         part = Partition.uniform(20, 2)
         acts = ActionSet((0, 3, 7))
         bat = BatteryModel(e_max=20, efficiency=QuadraticCapacitor(1.2))
         arr = make_truncated_geometric(4.0, 10)
-        result = search_partition_policy(bat, arr, CONS, REWARD, acts, part,
-                                         keep_table=True)
-        assert len(result.reward_by_policy) == 9
-        best = max(g for _, g in result.reward_by_policy)
-        assert result.best_reward == best
+        result = search_partition_policy(bat, arr, CONS, REWARD, acts, part)
+        table = candidate_gains(bat, arr, acts, part)
+        assert len(table) == 9
+        assert result.best_reward == max(table.values())
 
     def test_tie_breaks_lexicographically(self):
         # no arrivals: every policy earns zero, so the all-idle vector must win
@@ -245,13 +250,11 @@ class TestSearchPartitionPolicy:
         # HIGH holds a closed class of its own: a dense unichain solve of such a
         # chain is singular, and it returned 0.0 for (6, 0) and 0.00995 for (6, 1)
         part = Partition.uniform(100, 2)
-        result = search_partition_policy(BASELINE, GEOM20, CONS, REWARD,
-                                         ActionSet((0, 1, 6)), part, keep_table=True)
-        for combo, gain in result.reward_by_policy:
+        table = candidate_gains(BASELINE, GEOM20, ActionSet((0, 1, 6)), part)
+        for combo, gain in table.items():
             policy = PartitionPolicy(partition=part, actions=combo)
             want = evaluate_policy(BASELINE, GEOM20, CONS, REWARD, policy).long_run_reward
             assert gain == pytest.approx(want, abs=1e-12)
-        table = dict(result.reward_by_policy)
         for last in (0, 1, 6):
             assert table[(6, last)] == pytest.approx(0.0024714513513, abs=1e-12)
         transition, state_reward = build_chain(
@@ -289,10 +292,11 @@ class TestSearchPartitionPolicy:
                        Partition.uniform(20, 3), 17))
     def test_every_candidate_gain_matches_oracles(self, power_iteration, scenario):
         battery, arrivals, actions, part, e0 = scenario
-        result = search_partition_policy(battery, arrivals, CONS, REWARD, actions, part,
-                                         e0, keep_table=True)
+        result = search_partition_policy(battery, arrivals, CONS, REWARD, actions, part, e0)
         assert result.evaluated_count == len(actions) ** part.n_subsets
-        for combo, gain in result.reward_by_policy:
+        table = candidate_gains(battery, arrivals, actions, part, e0)
+        assert result.best_reward == max(table.values())
+        for combo, gain in table.items():
             policy = PartitionPolicy(partition=part, actions=combo)
             want = evaluate_policy(battery, arrivals, CONS, REWARD, policy,
                                    e0).long_run_reward
@@ -372,29 +376,30 @@ class TestSearchPartitionPolicy:
 
 class TestBetaStar:
     def test_zero_arrival(self):
-        assert beta_star(BASELINE, 0) == (0.0, 0.0)
+        a_star, beta = _beta_star_vec(BASELINE, [0])
+        assert (a_star[0], beta[0]) == (0.0, 0.0)
 
     def test_constant_efficiency_is_exact(self):
         # linear charging: increment is eta * b at every start level
         bat = BatteryModel(e_max=100, efficiency=ConstantEfficiency(0.7))
-        for b in (1, 10, 50):
-            _, beta = beta_star(bat, b)
-            assert beta == pytest.approx(0.7 * b, abs=1e-9)
+        bs = [1, 10, 50]
+        _, beta = _beta_star_vec(bat, bs)
+        assert beta == pytest.approx(0.7 * np.array(bs), abs=1e-9)
 
     def test_quadratic_optimum_below_midpoint(self):
         # best start lets the trajectory straddle the efficiency peak at e_max/2
-        a_star, beta = beta_star(BASELINE, 20)
-        assert 0.0 < a_star < 50.0
-        assert 0.0 < beta < 20.0
+        a_star, beta = _beta_star_vec(BASELINE, [20])
+        assert 0.0 < a_star[0] < 50.0
+        assert 0.0 < beta[0] < 20.0
 
     def test_beta_bounded_by_arrival(self):
-        for b in (1, 5, 20, 50):
-            _, beta = beta_star(BASELINE, b)
-            assert beta <= b + 1e-9
+        bs = [1, 5, 20, 50]
+        _, beta = _beta_star_vec(BASELINE, bs)
+        assert np.all(beta <= np.array(bs) + 1e-9)
 
     def test_beta_monotone_in_arrival(self):
-        betas = [beta_star(BASELINE, b)[1] for b in range(0, 51, 5)]
-        assert all(x < y for x, y in zip(betas, betas[1:]))
+        _, betas = _beta_star_vec(BASELINE, range(0, 51, 5))
+        assert np.all(np.diff(betas) > 0)
 
     @pytest.mark.parametrize("e_max", [10, 20, 30, 50, 1000])
     def test_best_start_matches_closed_form(self, e_max):
@@ -412,8 +417,8 @@ class TestBetaStar:
         # dense grid search over start levels, charged by RK4, as an independent check
         grid = np.linspace(0.0, 100.0, 20001)
         inc = rk4_charge(BASELINE, grid, 20, steps=256) - grid
-        _, beta = beta_star(BASELINE, 20)
-        assert beta == pytest.approx(float(inc.max()), abs=1e-7)
+        _, beta = _beta_star_vec(BASELINE, [20])
+        assert beta[0] == pytest.approx(float(inc.max()), abs=1e-7)
 
 
 class TestUpperBound:

@@ -1,0 +1,38 @@
+"""The benchmark's traced run sees every layer the harness calls.
+
+``perfbench/child.py --trace`` rebinds the harness's and the CLI's module
+names for the policy makers, the evaluator, the bound, the simulation and
+the ``run_*`` drivers. A harness that called those functions by another
+route would silently report zero time for their layers; these runs catch it.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+from test_config_cli import SMALL_YAML
+
+ROOT = Path(__file__).resolve().parents[1]
+COMMON = {"harness", "optimize.search", "optimize.upper_bound"}
+
+
+@pytest.mark.parametrize("command,spans", [
+    ("search", COMMON),
+    ("sweep", COMMON | {"chain.evaluate_policy", "optimize.solve_perfect_soc"}),
+    ("simulate", COMMON | {"chain.evaluate_policy", "chain.simulate"})])
+def test_traced_run_records_each_layer(tmp_path, command, spans):
+    config = tmp_path / "small.yaml"
+    config.write_text(SMALL_YAML, encoding="utf-8")
+    result_path = tmp_path / "result.json"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "child.py"), "--src", str(ROOT / "src"),
+         "--result", str(result_path), "--trace", "--",
+         command, "--config", str(config), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(result_path.read_text(encoding="utf-8"))
+    assert result["exit_code"] == 0
+    assert spans <= {name for name, *_ in result["spans"]}
+    assert result["counts"]["chain.reducible_route"] > 0
