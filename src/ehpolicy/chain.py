@@ -14,8 +14,6 @@ from functools import lru_cache
 from typing import Union
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from .core import (
     ArrivalModel,
@@ -30,6 +28,84 @@ from .errors import ConfigurationError, DomainError, NumericError
 
 _EDGE_EPS = 1e-15  # probabilities below this do not count as edges
 _SIM_CHUNK = 1 << 16  # arrivals drawn per chunk by simulate
+
+
+# ---------------------------------------------------------------------------
+# Graph kernels on dense boolean supports
+# ---------------------------------------------------------------------------
+
+def _reach(support: np.ndarray, sources) -> np.ndarray:
+    """Mask of the levels reachable from ``sources`` (a level, index array or
+    mask) along the boolean ``support``, the sources included.
+
+    Each step adds every successor of the last step's new levels. Pass the
+    transposed support to find the levels that reach ``sources``.
+    """
+    seen = np.zeros(len(support), dtype=bool)
+    seen[sources] = True
+    frontier = seen
+    while frontier.any():
+        frontier = support[frontier].any(axis=0) & ~seen
+        seen |= frontier
+    return seen
+
+
+def _closed_classes(support: np.ndarray) -> list:
+    """Closed classes of the chain with boolean ``support``, each as its sorted
+    levels, in order of their lowest level.
+
+    From an unresolved level u, R = reach(u). If some levels of R cannot
+    reach u, u and every level that reaches it are transient; the search
+    moves to the middle one of those levels, whose reach set lies among them.
+    Taking the middle one halves a transient path of levels in a few moves,
+    where the lowest one would step along it level by level. Once every
+    level of R reaches u, R is a closed class, and every level that reaches
+    it is resolved.
+    """
+    back = np.ascontiguousarray(support.T)
+    resolved = np.zeros(len(support), dtype=bool)
+    classes = []
+    for start in range(len(support)):
+        if resolved[start]:
+            continue
+        u = start
+        ahead = _reach(support, u)
+        while True:
+            behind = _reach(back, u)
+            escape = ahead & ~behind
+            if not escape.any():
+                break
+            resolved |= behind
+            escape = np.flatnonzero(escape)
+            u = int(escape[len(escape) // 2])
+            ahead = _reach(support, u)
+        classes.append(np.flatnonzero(ahead))
+        resolved |= _reach(back, ahead)
+    return sorted(classes, key=lambda levels: levels[0])
+
+
+def _stack_closed_classes(support: np.ndarray):
+    """Closed classes of each chain of a stack of boolean supports (c, k, k).
+
+    Warshall's closure runs on rows packed into 64-bit words, one pass per
+    level over the whole stack. Level i lies in a closed class iff no level
+    j has a path i -> j without one j -> i. Returns which levels lie in a
+    closed class, (c, k), and how many closed classes each chain has, (c,).
+    """
+    c, k, _ = support.shape
+    closure = support | np.eye(k, dtype=bool)
+    packed = np.zeros((c, k, 8 * -(-k // 64)), dtype=np.uint8)
+    packed[..., :-(-k // 8)] = np.packbits(closure, axis=2, bitorder="little")
+    reach = packed.view("<u8")  # bit m of row i: a path from i to m
+    for m in range(k):
+        word, bit = divmod(m, 64)
+        through = (reach[:, :, word] >> np.uint64(bit)) & np.uint64(1)
+        reach |= through[:, :, None] * reach[:, m, None, :]
+    closure = np.unpackbits(packed, axis=2, count=k, bitorder="little").view(bool)
+    in_class = ~(closure & ~closure.transpose(0, 2, 1)).any(axis=2)
+    # a closed class is counted at its lowest level, the first level it reaches
+    lowest = in_class & (closure.argmax(axis=2) == np.arange(k))
+    return in_class, lowest.sum(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -210,54 +286,37 @@ def exact_occupation(transition: np.ndarray, e0: int) -> np.ndarray:
     n = p.shape[0]
     if not 0 <= e0 < n:
         raise DomainError(f"initial state {e0} out of range")
-    sparse = csr_matrix(p > _EDGE_EPS)
-    order = np.atleast_1d(breadth_first_order(sparse, e0, return_predecessors=False))
-    idx = np.sort(order)
+    support = p > _EDGE_EPS
+    idx = np.flatnonzero(_reach(support, e0))
     pr = p[np.ix_(idx, idx)]
-    m = len(idx)
-
-    ncomp, labels = connected_components(
-        csr_matrix(pr > _EDGE_EPS), directed=True, connection="strong")
-    recurrent = np.array([
-        pr[labels == c][:, labels != c].sum() < 1e-13 for c in range(ncomp)
-    ])
-
-    class_pi = {}
-    for c in np.where(recurrent)[0]:
-        mask = labels == c
-        k = int(mask.sum())
-        a = pr[np.ix_(mask, mask)].T - np.eye(k)
-        a[-1, :] = 1.0
-        rhs = np.zeros(k)
-        rhs[-1] = 1.0
-        class_pi[c] = np.linalg.solve(a, rhs)
+    classes = _closed_classes(support[np.ix_(idx, idx)])
 
     e0_local = int(np.searchsorted(idx, e0))
-    rec_classes = np.where(recurrent)[0]
-    weights = {}
-    if recurrent[labels[e0_local]]:
-        weights[labels[e0_local]] = 1.0
-    elif len(rec_classes) == 1:
+    home = [c for c in classes if e0_local in c]
+    if home or len(classes) == 1:
         # absorption is certain, so the lone reachable recurrent class gets
         # weight 1 without solving the (possibly ill-conditioned) transient block
-        weights[int(rec_classes[0])] = 1.0
+        weights = [((home or classes)[0], 1.0)]
     else:
-        trans = np.where(~recurrent[labels])[0]
+        trans = np.setdiff1d(np.arange(len(idx)), np.concatenate(classes))
         q = pr[np.ix_(trans, trans)]
         lhs = np.eye(len(trans)) - q
-        start = int(np.where(trans == e0_local)[0][0])
-        for c in rec_classes:
-            rhs = pr[np.ix_(trans, np.where(labels == c)[0])].sum(axis=1)
-            weights[c] = float(np.linalg.solve(lhs, rhs)[start])
-        total = sum(max(w, 0.0) for w in weights.values())
+        start = int(np.searchsorted(trans, e0_local))
+        weights = [(c, float(np.linalg.solve(lhs, pr[np.ix_(trans, c)].sum(axis=1))[start]))
+                   for c in classes]
+        total = sum(max(w, 0.0) for _, w in weights)
         if not math.isfinite(total) or total <= 0.0:
             raise NumericError("absorption-weight solve failed on an "
                                "ill-conditioned transient block")
-        weights = {c: max(w, 0.0) / total for c, w in weights.items()}
+        weights = [(c, max(w, 0.0) / total) for c, w in weights]
 
     pi = np.zeros(n)
-    for c, w in weights.items():
-        pi[idx[labels == c]] += w * class_pi[c]
+    for c, w in weights:
+        a = pr[np.ix_(c, c)].T - np.eye(len(c))
+        a[-1, :] = 1.0
+        rhs = np.zeros(len(c))
+        rhs[-1] = 1.0
+        pi[idx[c]] += w * np.linalg.solve(a, rhs)
     pi = np.maximum(pi, 0.0)
     pi /= pi.sum()
     return pi

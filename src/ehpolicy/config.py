@@ -306,6 +306,11 @@ class ScenarioConfig:
                 raise ConfigurationError(
                     f"policy_source: fixed requires fixed_actions of {subsets} actions "
                     f"(one per subset) or {lengths[1]} (one per level)")
+            allowed = self.actions.build(self.battery.e_max, self.consumption.build(self.battery))
+            stray = sorted(set(self.fixed_actions) - set(allowed.actions))
+            if stray:
+                raise ConfigurationError(
+                    f"fixed_actions {stray} are not among the scenario's actions")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioConfig":

@@ -12,6 +12,9 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy
+import scipy  # only for the manifest's version line
+
 from . import __version__
 from .chain import Partition, PartitionPolicy, StatePolicy, evaluate_policy, simulate
 from .config import ScenarioConfig
@@ -94,9 +97,6 @@ def write_policy_file(path, policy, cons) -> Path:
 
 
 def write_manifest(cfg: ScenarioConfig, out_dir, command: str) -> Path:
-    import numpy
-    import scipy
-
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     digest = hashlib.sha256(cfg.to_yaml().encode("utf-8")).hexdigest()
@@ -244,9 +244,14 @@ def run_search(cfg: ScenarioConfig, out_dir) -> list:
     rows = []
     models = build_models(cfg)
     point = _Point(cfg, models)
-    for n in cfg.sweep.n_subsets or [cfg.partition.n_subsets]:
+    e_max = models.battery.e_max
+    # without a sweep axis the config's partition, boundaries included, is searched
+    partitions = ([cfg.partition.build(e_max, n) for n in cfg.sweep.n_subsets]
+                  or [cfg.partition.build(e_max)])
+    for partition in partitions:
         t0 = time.perf_counter()
-        result = _run_search(cfg, models, cfg.partition.build(models.battery.e_max, n))
+        n = partition.n_subsets
+        result = _run_search(cfg, models, partition)
         write_policy_file(Path(out_dir) / f"policy_{cfg.scenario}_N{n}.csv",
                           result.best_policy, models.cons)
         rows.append(point.row(f"optimal_partition_N{n}", t0, n_subsets=n,

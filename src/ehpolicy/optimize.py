@@ -8,8 +8,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from . import chain
 from .chain import (
@@ -17,6 +15,9 @@ from .chain import (
     Partition,
     PartitionPolicy,
     StatePolicy,
+    _closed_classes,
+    _reach,
+    _stack_closed_classes,
     build_chain,
     charge_matrix,
     consumption_vector,
@@ -138,13 +139,10 @@ def _policy_values(rows, starts, reward, system):
     """
     n = len(starts)
     p = np.take(rows, starts, axis=0, out=system)
-    comp, closed = _closed_classes((p > _EDGE_EPS)[None])
-    comp = comp[0]
-    _, first = np.unique(comp, return_index=True)
-    refs = first[closed]
-    if len(refs) == 1:
+    classes = _closed_classes(p > _EDGE_EPS)
+    if len(classes) == 1:
         # one closed class: a single gain, and column ref carries it in place of h(ref) = 0
-        ref = refs[0]
+        ref = classes[0][0]
         _identity_minus(system)
         system[:, ref] = 1.0
         x = np.linalg.solve(system, reward)
@@ -154,15 +152,15 @@ def _policy_values(rows, starts, reward, system):
 
     gain = np.empty(n)
     bias = np.empty(n)
-    for ref in refs:
-        idx = np.flatnonzero(comp == comp[ref])
+    recurrent = np.zeros(n, dtype=bool)
+    for idx in classes:
         a = _identity_minus(p[np.ix_(idx, idx)])
         a[:, 0] = 1.0
         x = np.linalg.solve(a, reward[idx])
         gain[idx] = x[0]
         x[0] = 0.0
         bias[idx] = x
-    recurrent = closed[comp]
+        recurrent[idx] = True
     trans = np.flatnonzero(~recurrent)
     if len(trans):
         rec = np.flatnonzero(recurrent)
@@ -325,11 +323,13 @@ def _last_subset_gains(rows, start_by_action, j_by_action, choice_e, p_e, reach,
 
     s_k = start_by_action[k0:].T  # (action, K state): start level after spending
     r_k = j_by_action[k0:].T
+    in_class, n_classes = _stack_closed_classes((m > _EDGE_EPS)[s_k])
     gains = np.empty(n_acts)
     batch = max(1, _STACK_ENTRIES // (nk * nk))
     for lo in range(0, n_acts, batch):
         starts = s_k[lo:lo + batch]
-        pi, ok = _censored_stationary(m[starts])
+        pi, ok = _censored_stationary(m[starts], n_classes[lo:lo + batch] == 1,
+                                      in_class[lo:lo + batch])
         num = np.einsum("ck,ck->c", pi, r_k[lo:lo + batch] + mu[starts])
         den = np.einsum("ck,ck->c", pi, 1.0 + tau[starts])
         for i in range(len(starts)):
@@ -340,32 +340,23 @@ def _last_subset_gains(rows, start_by_action, j_by_action, choice_e, p_e, reach,
 def _reaches_last_subset(support_e: np.ndarray, k0: int) -> np.ndarray:
     """Which levels below k0 can reach level k0 or above, given the support of
     their rows (levels below k0 x all levels)."""
-    into_k = support_e[:, k0:].any(axis=1)
-    src, dst = np.nonzero(support_e[:, :k0])
-    # reversed edges below k0, plus node k0 standing for every level above,
-    # with an edge into every state that steps up there directly
-    tail = np.concatenate([dst, np.full(int(into_k.sum()), k0)])
-    head = np.concatenate([src, np.flatnonzero(into_k)])
-    graph = csr_matrix((np.ones(len(tail), dtype=bool), (tail, head)),
-                       shape=(k0 + 1, k0 + 1))
-    order = breadth_first_order(graph, k0, directed=True, return_predecessors=False)
-    reach = np.zeros(k0 + 1, dtype=bool)
-    reach[order] = True
-    return reach[:k0]
+    # backward from the levels that step up to k0 or above directly
+    return _reach(np.ascontiguousarray(support_e[:, :k0].T), support_e[:, k0:].any(axis=1))
 
 
-def _censored_stationary(censored: np.ndarray):
+def _censored_stationary(censored: np.ndarray, ok: np.ndarray, in_class: np.ndarray):
     """Stationary laws of a stack of censored chains, and which of them to trust.
 
-    A law is trusted only if its chain's support has exactly one closed
-    class, the solve passes a residual check and the law puts no mass
-    outside that class: with two closed classes the system is singular, and
-    a mixture of the class laws would pass the residual check alone, while
-    a nearly closed transient set makes it so ill-conditioned that a law
-    on the transient states can pass it too.
+    ``ok`` says which chains' supports have exactly one closed class, and
+    ``in_class`` which levels lie in it; ``ok`` is updated in place. A law is
+    trusted only if its chain has one closed class, the solve passes a
+    residual check and the law puts no mass outside that class: with two
+    closed classes the system is singular, and a mixture of the class laws
+    would pass the residual check alone, while a nearly closed transient set
+    makes it so ill-conditioned that a law on the transient states can pass
+    it too.
     """
     c, k, _ = censored.shape
-    ok, in_class = _single_closed_class(censored > _EDGE_EPS)
     pi = np.zeros((c, k))
     if not ok.any():
         return pi, ok
@@ -385,35 +376,6 @@ def _censored_stationary(censored: np.ndarray):
     ok[ok] = good
     pi[ok] = np.maximum(sol[good], 0.0)
     return pi, ok
-
-
-def _single_closed_class(support: np.ndarray):
-    """For each graph of a stack of supports (c, k, k): whether it has exactly
-    one closed class, and which of its states lie in a closed class (c, k)."""
-    comp, closed = _closed_classes(support)
-    block = np.empty(len(closed), dtype=np.int64)
-    block[comp] = np.arange(len(comp))[:, None]
-    return np.bincount(block[closed], minlength=len(comp)) == 1, closed[comp]
-
-
-def _closed_classes(support: np.ndarray):
-    """Strong components of each graph of a stack of supports (c, k, k).
-
-    Returns the component of every state, (c, k), with components numbered
-    across the whole stack, and whether each component is closed.
-    """
-    c, k, _ = support.shape
-    blk, i, j = np.nonzero(support)
-    tail = (blk * k + i).astype(np.int32)
-    head = (blk * k + j).astype(np.int32)
-    # one block-diagonal graph, built straight in CSR form: nonzero is row-major
-    indptr = np.zeros(c * k + 1, dtype=np.int32)
-    np.cumsum(support.sum(axis=2).ravel(), out=indptr[1:])
-    graph = csr_matrix((np.ones(len(head)), head, indptr), shape=(c * k, c * k))
-    n_comp, comp = connected_components(graph, directed=True, connection="strong")
-    closed = np.ones(n_comp, dtype=bool)
-    closed[comp[tail[comp[tail] != comp[head]]]] = False
-    return comp.reshape(c, k), closed
 
 
 def refine_partition_search(battery, arrivals, cons, reward, actions, partition,

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from ehpolicy import (
     BatteryModel,
@@ -18,7 +20,7 @@ from ehpolicy import (
     make_truncated_geometric,
     simulate,
 )
-from ehpolicy.chain import _SIM_CHUNK
+from ehpolicy.chain import _SIM_CHUNK, _closed_classes, _reach, _stack_closed_classes
 from ehpolicy.core import arrival_model_from_pmf
 from ehpolicy.errors import ConfigurationError, DomainError, NumericError
 
@@ -26,6 +28,112 @@ BASELINE = BatteryModel(e_max=100, efficiency=QuadraticCapacitor(1.05))
 GEOM20 = make_truncated_geometric(20.0, 50)
 REWARD = LogSnrReward(0.01)
 CONS = IdentityConsumption()
+
+
+def random_support(rng, k):
+    """Boolean support on k levels: blocks in a random order of the levels, each a
+    closed class, a bare cycle (periodic), a set of isolated self-loops or a transient
+    block, with edges only from earlier blocks to later ones, so the first blocks
+    are transient prefixes."""
+    order = rng.permutation(k)
+    cuts = np.sort(rng.choice(np.arange(1, k), size=min(k - 1, int(rng.integers(0, 6))),
+                              replace=False)) if k > 1 else []
+    blocks = np.split(order, cuts)
+    support = np.zeros((k, k), dtype=bool)
+    for b, block in enumerate(blocks):
+        later = np.concatenate(blocks[b + 1:]) if b + 1 < len(blocks) else order[:0]
+        kind = int(rng.integers(4))
+        if kind == 0:  # a class with extra edges inside
+            support[block, np.roll(block, 1)] = True
+            support[np.ix_(block, block)] |= rng.random((len(block), len(block))) < 0.2
+        elif kind == 1:  # a bare cycle
+            support[block, np.roll(block, 1)] = True
+        elif kind == 2:  # isolated levels
+            support[block, block] = True
+        else:  # transient levels that climb within the block, if anything follows
+            support[block[:-1], block[1:]] = True
+            support[block[-1], block[0] if not len(later) else later[0]] = True
+        if len(later) and rng.random() < 0.5:
+            # leave for a later block: this block becomes transient
+            support[rng.choice(block), rng.choice(later)] = True
+    return support
+
+
+def closure_oracle(support):
+    """Reflexive transitive closure by repeated boolean squaring."""
+    reach = support | np.eye(len(support), dtype=bool)
+    while True:
+        wider = (reach.astype(np.int64) @ reach.astype(np.int64)) > 0
+        if np.array_equal(wider, reach):
+            return reach
+        reach = wider
+
+
+def scipy_classes(support):
+    """Closed classes by strong components and their out-edges, sorted by lowest level."""
+    _, comp = connected_components(csr_matrix(support), directed=True, connection="strong")
+    i, j = np.nonzero(support)
+    leaving = set(comp[i[comp[i] != comp[j]]])
+    classes = [np.flatnonzero(comp == c) for c in set(comp) - leaving]
+    return sorted(classes, key=lambda levels: levels[0])
+
+
+class TestGraphKernels:
+    """The NumPy reach and closed-class kernels against scipy's graph routines and a
+    brute-force boolean closure; k = 63, 64, 65 and 130 straddle the 64-bit words."""
+
+    SIZES = (1, 2, 5, 63, 64, 65, 130)
+
+    @pytest.mark.parametrize("k", SIZES)
+    def test_reach(self, k):
+        rng = np.random.default_rng(k)
+        for _ in range(5):
+            support = random_support(rng, k)
+            closure = closure_oracle(support)
+            sources = rng.random(k) < 0.1
+            sources[rng.integers(k)] = True
+            want = closure[sources].any(axis=0)
+            assert np.array_equal(_reach(support, sources), want)
+            assert np.array_equal(_reach(support.T, sources), closure[:, sources].any(axis=1))
+            u = int(rng.integers(k))
+            order = breadth_first_order(csr_matrix(support), u, return_predecessors=False)
+            assert np.array_equal(np.flatnonzero(_reach(support, u)), np.sort(order))
+
+    @pytest.mark.parametrize("k", SIZES)
+    def test_closed_classes_of_one_chain(self, k):
+        rng = np.random.default_rng(100 + k)
+        for _ in range(8):
+            support = random_support(rng, k)
+            got = _closed_classes(support)
+            want = scipy_classes(support)
+            assert [c.tolist() for c in got] == [c.tolist() for c in want]
+            closure = closure_oracle(support)
+            in_class = ~(closure & ~closure.T).any(axis=1)
+            assert np.array_equal(np.sort(np.concatenate(got)), np.flatnonzero(in_class))
+
+    @pytest.mark.parametrize("k", SIZES)
+    def test_closed_classes_of_a_stack(self, k):
+        rng = np.random.default_rng(200 + k)
+        stack = np.array([random_support(rng, k) for _ in range(9)])
+        in_class, n_classes = _stack_closed_classes(stack)
+        assert in_class.shape == (9, k) and n_classes.shape == (9,)
+        for support, levels, count in zip(stack, in_class, n_classes):
+            want = scipy_classes(support)
+            assert count == len(want)
+            assert np.array_equal(np.flatnonzero(levels), np.sort(np.concatenate(want)))
+
+    def test_known_shapes(self):
+        # 0 -> 1 <-> 2 is one class behind a transient level; 3 -> 4 -> 3 is a
+        # periodic class; 5 is an isolated absorbing level; 6 leaves for 5
+        support = np.zeros((7, 7), dtype=bool)
+        for i, j in ((0, 1), (1, 2), (2, 1), (3, 4), (4, 3), (5, 5), (6, 5), (6, 6)):
+            support[i, j] = True
+        assert [c.tolist() for c in _closed_classes(support)] == [[1, 2], [3, 4], [5]]
+        in_class, n_classes = _stack_closed_classes(support[None])
+        assert in_class[0].tolist() == [False, True, True, True, True, True, False]
+        assert n_classes.tolist() == [3]
+        assert np.flatnonzero(_reach(support, 0)).tolist() == [0, 1, 2]
+        assert np.flatnonzero(_reach(support.T, 5)).tolist() == [5, 6]
 
 
 class TestPartition:

@@ -1,16 +1,21 @@
 import csv
 import dataclasses
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
 
-from ehpolicy import ScenarioConfig, get_preset, harness, preset_names
+import ehpolicy
+from ehpolicy import Partition, ScenarioConfig, get_preset, harness, preset_names
 from ehpolicy.cli import main
 from ehpolicy.config import _POLICY_SOURCES, ActionConfig, PartitionConfig
 from ehpolicy.core import DeviceTableConsumption, IdentityConsumption
 from ehpolicy.errors import ConfigurationError
 from ehpolicy.harness import RESULT_COLUMNS, build_models
+from ehpolicy.optimize import search_partition_policy
 from ehpolicy.presets import device_consumption_table
 
 SMALL_YAML = """\
@@ -349,6 +354,51 @@ class TestCli:
                                         "fixed_actions": [0, 2, 4]}), encoding="utf-8")
         assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "bad")]) == 2
         assert not (tmp_path / "bad").exists()
+
+    @pytest.mark.parametrize("fields,stray", [
+        ({"fixed_actions": [0, 500]}, [500]),  # the actions are 0..10 in steps of 2
+        ({"fixed_actions": [0, 3]}, [3]),
+        ({"fixed_actions": [0, 3], "consumption": {"kind": "device", "band": "315MHz"}}, [3])])
+    def test_fixed_actions_outside_the_action_set_fail_at_load(self, tmp_path, capsys,
+                                                               fields, stray):
+        # an action the scenario does not offer used to run silently with G=0, or
+        # fail only after run_manifest.txt was written
+        data = {**yaml.safe_load(SMALL_YAML), "policy_source": "fixed", **fields}
+        path = tmp_path / "fixed.yaml"
+        path.write_text(yaml.safe_dump(data), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+        assert f"fixed_actions {stray}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_search_honours_partition_boundaries(self, tmp_path):
+        # with no sweep axis, search takes the config's partition as simulate
+        # does; it used to search the uniform split whatever the boundaries said
+        base = yaml.safe_load(SMALL_YAML)
+        gains = set()
+        for starts in ((0, 3), (0, 16)):
+            path = tmp_path / f"from{starts[1]}.yaml"
+            path.write_text(yaml.safe_dump({**base, "partition": {"boundaries": list(starts)}}),
+                            encoding="utf-8")
+            out = tmp_path / f"out{starts[1]}"
+            assert main(["search", "--config", str(path), "--out", str(out)]) == 0
+            m = build_models(ScenarioConfig.load(path))
+            want = search_partition_policy(m.battery, m.arrivals, m.cons, m.reward, m.actions,
+                                           Partition(e_max=20, starts=starts))
+            (row,) = _read_results(out)
+            assert row["g_analytic"] == f"{want.best_reward:.12g}"
+            gains.add(row["g_analytic"])
+        assert len(gains) == 2
+
+    def test_cli_import_leaves_out_scipy_sparse(self):
+        # the graph kernels are NumPy; importing scipy.sparse roughly doubles set-up
+        src = Path(ehpolicy.__file__).resolve().parents[1]
+        code = ("import sys, ehpolicy.cli; "
+                "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))")
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True)
+        assert done.stdout.strip() == "[]"
 
     def test_preset_runs_without_config_file(self, tmp_path):
         out = tmp_path / "out"
