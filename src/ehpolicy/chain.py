@@ -27,7 +27,7 @@ from .core import (
 from .errors import ConfigurationError, DomainError, NumericError
 
 _EDGE_EPS = 1e-15  # probabilities below this do not count as edges
-_SIM_CHUNK = 1 << 16  # arrivals drawn per chunk by simulate
+_MIN_LANE = 256  # frames per lane of simulate at least; shorter runs are one lane
 
 
 # ---------------------------------------------------------------------------
@@ -355,6 +355,16 @@ def simulate(battery: BatteryModel, arrivals: ArrivalModel, cons: ConsumptionMap
 
     The standard error of the mean reward uses batch means (the reward
     series is Markov-correlated, so the i.i.d. formula would be too tight).
+
+    The frames are laid out as lanes of about sqrt(frames) frames each, and
+    all lanes step at once, lane 0 from e0 and the others from an empty
+    battery. A lane whose guessed start was wrong is stepped again from the
+    previous lane's end until it meets its first path: from there on the
+    two paths see the same arrivals, so they are the same (the grand
+    coupling of Propp and Wilson, 1996). A lane that never meets its first
+    path changes its end, and a frame-by-frame walk finishes the run from
+    the next lane on. The visited levels equal those of a walk one frame at
+    a time.
     """
     if frames < 1:
         raise DomainError("need at least one frame")
@@ -368,20 +378,57 @@ def simulate(battery: BatteryModel, arrivals: ArrivalModel, cons: ConsumptionMap
         attained_reward(reward, cons, int(a), e) for e, a in enumerate(acts)
     ])
 
-    # the recursion runs on plain ints: step[e][b] is the level after a frame
-    # that starts at e and harvests b quanta
-    step = [table[max(0, e - d)].tolist() for e, d in enumerate(dvec.tolist())]
-    states = np.empty(frames, dtype=np.int64)
-    e = int(e0)
-    for lo in range(0, frames, _SIM_CHUNK):
-        # chunked draws continue one generator stream, so they equal a single draw
-        draws = sample_arrivals(arrivals, rng, min(_SIM_CHUNK, frames - lo)).tolist()
+    # a level e is stepped as its offset e·width in the flat table step:
+    # step[e·width + b] is the offset after a frame that starts at e and
+    # harvests b quanta
+    width = arrivals.b_max + 1
+    starts = np.maximum(np.arange(battery.e_max + 1) - dvec, 0)
+    step = (table[starts] * width).astype(np.min_scalar_type(table.size)).ravel()
+
+    draws = sample_arrivals(arrivals, rng, frames)
+    length = max(math.isqrt(frames), _MIN_LANE)
+    n_lanes = -(-frames // length)
+    lanes = np.zeros(n_lanes * length, dtype=draws.dtype)  # the last lane is padded
+    lanes[:frames] = draws
+    lanes = np.ascontiguousarray(lanes.reshape(n_lanes, length).T)  # (frame, lane)
+
+    # pass 1: every lane from its guessed start; path[j] holds the offsets at frame j
+    path = np.zeros((length + 1, n_lanes), dtype=step.dtype)
+    path[0, 0] = e0 * width
+    at = np.empty(n_lanes, dtype=np.intp)
+    for j in range(length):
+        np.add(path[j], lanes[j], out=at)
+        step.take(at, out=path[j + 1], mode="clip")  # "raise" would buffer out
+
+    # pass 2: the lanes whose true start, the previous lane's end, was not
+    # their guess, each until it meets its first path
+    ends = path[length]
+    redo = np.flatnonzero(ends[:-1] != path[0, 1:]) + 1
+    level = ends[redo - 1]
+    for j in range(length):
+        apart = level != path[j, redo]
+        redo, level = redo[apart], level[apart]
+        if not len(redo):
+            break
+        path[j, redo] = level
+        level = step[level + lanes[j, redo]]
+
+    states = path[:length].T.ravel()[:frames]
+    if len(redo):
+        # lane redo[0] never met its first path, so the later lanes may start
+        # elsewhere than pass 2 assumed: walk on from its end, one frame at a time
+        lo = (redo[0] + 1) * length
+        flat = step.tolist()
+        e = int(level[0])
         visited = []
         visit = visited.append
-        for b in draws:
+        for b in draws[lo:].tolist():
             visit(e)
-            e = step[e][b]
-        states[lo:lo + len(visited)] = visited
+            e = flat[e + b]
+        states[lo:] = visited
+    states //= width
+    # counted before the rewards exist: bincount makes an intp copy of states
+    counts = np.bincount(states, minlength=battery.e_max + 1)
 
     rewards = jvec[states]
     mean = float(rewards.mean())
@@ -390,8 +437,6 @@ def simulate(battery: BatteryModel, arrivals: ArrivalModel, cons: ConsumptionMap
     batch = frames // n_batches
     means = rewards[: n_batches * batch].reshape(n_batches, batch).mean(axis=1)
     se = float(means.std(ddof=1) / np.sqrt(n_batches)) if n_batches > 1 else float("nan")
-
-    counts = np.bincount(states, minlength=battery.e_max + 1)
     return SimulationReport(
         frames=frames,
         empirical_reward=mean,

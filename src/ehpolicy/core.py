@@ -22,6 +22,10 @@ from .errors import DomainError
 # Snap tolerance before flooring: absorbs the flow's floating-point round-off
 # so exact integer levels (e.g. lossless charging) are not floored down a quantum.
 _FLOOR_EPS = 1e-9
+# Buckets of the arrival sampler's inverse CDF. A uniform draw is a multiple
+# of 2^-53, so scaling it by this power of two and flooring is exact; the
+# bucket index is int16, so at most 1 << 15.
+_BUCKETS = 1 << 12
 
 
 # ---------------------------------------------------------------------------
@@ -303,9 +307,28 @@ def make_truncated_poisson(mean_target: float, b_max: int) -> ArrivalModel:
 
 
 def sample_arrivals(model: ArrivalModel, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Vector of i.i.d. arrival draws."""
+    """Vector of i.i.d. arrival draws, in the smallest unsigned dtype that holds b_max.
+
+    The draws equal ``np.searchsorted(cdf, u, side="right")`` on ``size``
+    uniforms ``u`` from ``rng``, except that the last knot is left out: a
+    CDF whose sum rounds below 1 still draws b_max at the largest u. Each u
+    falls in one of ``_BUCKETS`` equal buckets of [0, 1). A bucket with no
+    knot strictly inside it gives the draw directly; only the few u in a
+    bucket with a knot are searched.
+    """
     u = rng.random(size)
-    return np.searchsorted(model.cdf_array(), u, side="right").astype(np.int64)
+    u *= _BUCKETS  # in place; the knots are scaled to match, both exactly
+    knots = model.cdf_array()[:-1] * _BUCKETS
+    edges = np.arange(_BUCKETS + 1, dtype=float)
+    # every u in bucket k draws below[k], the number of knots at or under its
+    # lower edge, unless a knot lies strictly inside the bucket
+    below = np.searchsorted(knots, edges, side="right")
+    knotted = np.searchsorted(knots, edges[1:], side="left") > below[:-1]
+    bucket = u.astype(np.int16)
+    draws = below[:-1].astype(np.min_scalar_type(model.b_max))[bucket]
+    hit = np.flatnonzero(knotted[bucket])
+    draws[hit] = np.searchsorted(knots, u[hit], side="right")
+    return draws
 
 
 # ---------------------------------------------------------------------------

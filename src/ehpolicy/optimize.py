@@ -60,7 +60,7 @@ def solve_perfect_soc(battery: BatteryModel, arrivals: ArrivalModel, cons: Consu
     keeps its action unless another beats it by more than a relative
     round-off, and the iteration stops when no state changes. The policy
     returned takes, in each state, the lowest-power action whose value is
-    within 1e-12 of the best.
+    within that round-off of the best, ``_KEEP_RTOL`` times max |Q|.
     """
     ok, _ = validate_recharge_hypothesis(battery, arrivals)
     if not ok:
@@ -100,18 +100,17 @@ def solve_perfect_soc(battery: BatteryModel, arrivals: ArrivalModel, cons: Consu
                 continue
         np.take(rows @ bias, start_of, out=q)
         q += j
-        improved, _ = _improve(q, choice, allowed)
+        improved, near = _improve(q, choice, allowed)
         if np.array_equal(improved, choice):
             break
         choice = improved
+        del near  # a (state, action) mask held through the next solve raises the peak RSS
     else:
         raise ConvergenceError(
             f"policy iteration did not settle in {_MAX_ITERATIONS} iterations")
 
-    # argmax picks the first (lowest-power) maximizer; snap near-ties down too
-    best = q.max(axis=1)
-    greedy = (q >= best[:, None] - 1e-12).argmax(axis=1)
-    return StatePolicy(actions=tuple(int(acts[i]) for i in greedy))
+    # the lowest-power action among those within round-off of the best
+    return StatePolicy(actions=tuple(int(acts[i]) for i in near.argmax(axis=1)))
 
 
 def _improve(q, choice, allowed=None):

@@ -5,7 +5,9 @@
 - ``long_run_average``: power iteration for the limiting occupation; the
   library finds recurrent classes by graph search and solves them directly.
 - ``simulate_reference``: the Monte Carlo recursion one frame at a time on
-  a single up-front array of draws; the library steps plain ints in chunks.
+  draws searched in the arrival CDF; the library samples by bucketed inverse
+  CDF and steps lanes of frames at once, coupling each lane to the previous
+  lane's end.
 - ``rvi_reference``: relative value iteration on the half-lazy kernel; the
   library runs Howard policy iteration.
 """
@@ -26,7 +28,6 @@ from ehpolicy.core import (
     _efficiency_unchecked,
     attained_reward,
     next_state_table,
-    sample_arrivals,
 )
 from ehpolicy.errors import ConvergenceError, DomainError
 
@@ -94,7 +95,7 @@ def long_run_average(transition, state_reward, e0, tol=1e-10, max_iter=10 ** 6):
 
 
 def simulate_reference(battery, arrivals, cons, reward, policy, frames, seed, e0=0):
-    """Monte Carlo run drawing every arrival up front and stepping frame by frame."""
+    """Monte Carlo run searching every arrival in the CDF up front and stepping frame by frame."""
     rng = np.random.default_rng(seed)
     table = next_state_table(battery, arrivals.b_max)
     acts = policy.action_vector(battery.e_max)
@@ -103,7 +104,7 @@ def simulate_reference(battery, arrivals, cons, reward, policy, frames, seed, e0
         attained_reward(reward, cons, int(a), e) for e, a in enumerate(acts)
     ])
 
-    draws = sample_arrivals(arrivals, rng, frames)
+    draws = np.searchsorted(arrivals.cdf_array(), rng.random(frames), side="right")
     states = np.empty(frames, dtype=np.int64)
     e = int(e0)
     for k in range(frames):

@@ -20,7 +20,7 @@ from ehpolicy import (
     make_truncated_geometric,
     simulate,
 )
-from ehpolicy.chain import _SIM_CHUNK, _closed_classes, _reach, _stack_closed_classes
+from ehpolicy.chain import _MIN_LANE, _closed_classes, _reach, _stack_closed_classes
 from ehpolicy.core import arrival_model_from_pmf
 from ehpolicy.errors import ConfigurationError, DomainError, NumericError
 
@@ -323,9 +323,11 @@ class TestSimulate:
         assert got.empirical_reward == want.empirical_reward
         assert got.std_error == want.std_error
 
-    @pytest.mark.parametrize("frames", [_SIM_CHUNK - 1, _SIM_CHUNK, _SIM_CHUNK + 1,
-                                        3 * _SIM_CHUNK + 7])
-    def test_matches_reference_across_chunk_edges(self, simulate_oracle, frames):
+    # a run shorter than one lane, about one lane, 300 lanes of 300 frames,
+    # and 300 full lanes plus a padded lane of 7 frames
+    @pytest.mark.parametrize("frames", [37, _MIN_LANE - 1, _MIN_LANE, _MIN_LANE + 1,
+                                        300 * 300, 300 * 300 + 7])
+    def test_matches_reference_across_lane_edges(self, simulate_oracle, frames):
         policy = PartitionPolicy(partition=Partition.uniform(100, 2), actions=(4, 26))
         args = (BASELINE, GEOM20, CONS, REWARD, policy)
         self.assert_same_run(simulate(*args, frames=frames, seed=5),
@@ -334,19 +336,30 @@ class TestSimulate:
     def test_matches_reference_from_nonzero_start(self, simulate_oracle):
         policy = PartitionPolicy(partition=Partition.uniform(100, 2), actions=(4, 26))
         args = (BASELINE, GEOM20, CONS, REWARD, policy)
-        self.assert_same_run(simulate(*args, frames=2 * _SIM_CHUNK + 3, seed=8, e0=73),
-                             simulate_oracle(*args, frames=2 * _SIM_CHUNK + 3, seed=8, e0=73))
+        self.assert_same_run(simulate(*args, frames=131_075, seed=8, e0=73),
+                             simulate_oracle(*args, frames=131_075, seed=8, e0=73))
 
     def test_matches_reference_with_drain_actions(self, simulate_oracle):
         # actions above the stored level empty the battery and earn nothing
         acts = np.random.default_rng(6).integers(0, 101, size=101)
         policy = StatePolicy(actions=tuple(acts))
         args = (BASELINE, GEOM20, CONS, REWARD, policy)
-        report = simulate(*args, frames=2 * _SIM_CHUNK + 3, seed=2)
+        report = simulate(*args, frames=131_075, seed=2)
         drained = (acts > np.arange(101)) & (report.visit_counts > 0)
         assert drained.any()
-        self.assert_same_run(report,
-                             simulate_oracle(*args, frames=2 * _SIM_CHUNK + 3, seed=2))
+        self.assert_same_run(report, simulate_oracle(*args, frames=131_075, seed=2))
+
+    def test_matches_reference_when_lanes_never_meet(self, simulate_oracle):
+        # a lossless battery that harvests exactly what it spends keeps its
+        # level: the lanes started empty never meet the run from e0 = 73,
+        # so the frame-by-frame walk finishes the run
+        battery = BatteryModel(e_max=100, efficiency=ConstantEfficiency(1.0))
+        arrivals = arrival_model_from_pmf([0.0] * 5 + [1.0])
+        policy = StatePolicy(actions=(5,) * 101)
+        args = (battery, arrivals, CONS, REWARD, policy)
+        report = simulate(*args, frames=90_007, seed=4, e0=73)
+        assert report.visit_counts[73] == 90_007
+        self.assert_same_run(report, simulate_oracle(*args, frames=90_007, seed=4, e0=73))
 
     @pytest.mark.parametrize("e0", [-1, 101])
     def test_rejects_start_outside_battery(self, e0):

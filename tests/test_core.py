@@ -245,6 +245,39 @@ class TestSampling:
         b = sample_arrivals(arr, np.random.default_rng(42), 1000)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("arr", [
+        arrival_model_from_pmf([0] * 7 + [1.0]),
+        arrival_model_from_pmf([0.5, 0.25, 0.25]),  # CDF knots on bucket edges
+        make_truncated_geometric(20.0, 50),
+        make_truncated_poisson(20.0, 50),
+    ], ids=["degenerate", "edge-knots", "geometric", "poisson"])
+    def test_matches_inverse_cdf_search(self, arr):
+        u = np.random.default_rng(11).random(200_000)
+        want = np.searchsorted(arr.cdf_array(), u, side="right")
+        got = sample_arrivals(arr, np.random.default_rng(11), 200_000)
+        assert np.array_equal(got, want)
+
+    def test_uniforms_on_knots_and_bucket_edges(self):
+        class FixedUniforms:
+            def __init__(self, u):
+                self.u = np.array(u)
+
+            def random(self, size):
+                assert size == len(self.u)
+                return self.u.copy()
+
+        ulp = 2.0 ** -53
+        u = [0.0, ulp, 0.25 - ulp, 0.25, 0.5 - ulp, 0.5, 0.75 - ulp, 0.75,
+             1 / 4096, 1 / 4096 - ulp, 1.0 - ulp]
+        for pmf in ([0.5, 0.25, 0.25], [0.25, 0.25, 0.25, 0.25], [0, 0, 1.0]):
+            arr = arrival_model_from_pmf(pmf)
+            got = sample_arrivals(arr, FixedUniforms(u), len(u))
+            assert np.array_equal(got, np.searchsorted(arr.cdf_array(), u, side="right"))
+        # this CDF ends at 1 - 2^-53, and the largest uniform still draws b_max
+        arr = arrival_model_from_pmf([0.1] * 10)
+        assert arr.cdf_array()[-1] == 1.0 - ulp
+        assert sample_arrivals(arr, FixedUniforms([1.0 - ulp]), 1).tolist() == [9]
+
     def test_empirical_mean_matches(self):
         arr = make_truncated_geometric(20.0, 50)
         draws = sample_arrivals(arr, np.random.default_rng(7), 10 ** 6)

@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -160,6 +161,25 @@ class TestSolvePerfectSoc:
         m = build_models(get_preset(preset), e_max=e_max, band=band)
         models = (m.battery, m.arrivals, m.cons, m.reward, m.actions)
         assert solve_perfect_soc(*models) == rvi_oracle(*models)
+
+    def test_policy_does_not_depend_on_reward_scale(self):
+        # scaling every rate by a power of two scales each action value
+        # exactly, so the tie rule must return the same actions; levels 1 to
+        # 5 here have near-ties that an absolute tolerance snaps at one scale
+        # and not at the other
+        @dataclass(frozen=True)
+        class ScaledReward:
+            base: LogSnrReward
+            factor: float
+
+            def rate(self, rho):
+                return self.factor * self.base.rate(rho)
+
+        bat = BatteryModel(e_max=40, efficiency=ConstantEfficiency(0.5))
+        arr = make_truncated_geometric(2.0, 5)
+        acts = ActionSet(tuple(range(41)))
+        want = solve_perfect_soc(bat, arr, CONS, REWARD, acts)
+        assert solve_perfect_soc(bat, arr, CONS, ScaledReward(REWARD, 2.0 ** 17), acts) == want
 
     def test_multichain_policy_with_equal_class_gains(self):
         # arrivals and the one nonzero spend are even, so a policy that spends

@@ -1,0 +1,111 @@
+"""Run the CLI's reference commands on this tree and on a git revision, and
+diff their outputs.
+
+    python tools/compare_outputs.py <rev>
+
+<rev> is checked out into a temporary `git worktree`. Each command below
+runs on both trees with `--threads 1` at seeds 1 and 3, in a fresh
+interpreter with BLAS, OpenMP and MKL on one thread. Every CSV and
+`run_manifest.txt` they write is compared; the `wall_time_s` column is
+ignored. The script prints each difference and exits 1 if there is any,
+0 if the outputs are identical.
+"""
+
+from __future__ import annotations
+
+import argparse
+import csv
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SEEDS = (1, 3)
+COMMANDS = (
+    ("solve", "--preset", "fig2"),
+    ("search", "--preset", "fig3"),
+    ("sweep", "--preset", "fig4"),
+    ("sweep", "--preset", "fig5"),
+    ("bound", "--preset", "baseline"),
+    ("simulate", "--preset", "baseline"),
+    ("simulate", "--config", "perfbench/large_battery.yaml"),
+)
+IGNORED_COLUMNS = {"wall_time_s"}
+ONE_THREAD = {name: "1" for name in
+              ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+
+
+def run_all(tree: Path, out: Path) -> None:
+    """Run every command at every seed on ``tree``, each into its own directory of ``out``."""
+    env = {**os.environ, **ONE_THREAD, "PYTHONPATH": str(tree / "src")}
+    for command in COMMANDS:
+        for seed in SEEDS:
+            target = out / f"{'_'.join(command).replace('/', '_')}_seed{seed}"
+            argv = [sys.executable, "-m", "ehpolicy.cli", *command, "--out", str(target),
+                    "--seed", str(seed), "--threads", "1"]
+            done = subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True)
+            if done.returncode:
+                raise SystemExit(f"{' '.join(argv)} failed in {tree}:\n{done.stderr}")
+
+
+def read_csv(path: Path) -> list:
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    if not rows:
+        return rows
+    keep = [i for i, name in enumerate(rows[0]) if name not in IGNORED_COLUMNS]
+    return [[row[i] for i in keep] for row in rows]
+
+
+def differences(want: Path, got: Path) -> list:
+    """One line per file or cell that differs between two output trees."""
+    names = {p.relative_to(want) for p in want.rglob("*") if p.is_file()}
+    names |= {p.relative_to(got) for p in got.rglob("*") if p.is_file()}
+    found = []
+    for name in sorted(names):
+        if name.suffix != ".csv" and name.name != "run_manifest.txt":
+            continue
+        a, b = want / name, got / name
+        if not (a.exists() and b.exists()):
+            found.append(f"{name}: only in {'the revision' if a.exists() else 'this tree'}")
+        elif name.suffix == ".csv":
+            rows_a, rows_b = read_csv(a), read_csv(b)
+            if len(rows_a) != len(rows_b):
+                found.append(f"{name}: {len(rows_a)} rows against {len(rows_b)}")
+            for i, (row_a, row_b) in enumerate(zip(rows_a, rows_b)):
+                if row_a != row_b:
+                    found.append(f"{name} row {i}: {row_a} -> {row_b}")
+        elif a.read_text(encoding="utf-8") != b.read_text(encoding="utf-8"):
+            found.append(f"{name}: differs")
+    return found
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(
+        description="Diff the CLI outputs of this tree against those of a git revision.")
+    parser.add_argument("rev", help="git revision to compare this tree against")
+    args = parser.parse_args(argv)
+
+    with tempfile.TemporaryDirectory(prefix="compare_outputs_") as scratch:
+        out = Path(scratch)
+        checkout = out / "checkout"
+        subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--detach", "--quiet",
+                        str(checkout), args.rev], check=True)
+        try:
+            run_all(checkout, out / "rev")
+            run_all(ROOT, out / "tree")
+        finally:
+            subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force",
+                            str(checkout)], check=True)
+        found = differences(out / "rev", out / "tree")
+    for line in found:
+        print(line)
+    runs = len(COMMANDS) * len(SEEDS)
+    print(f"{len(found)} differences over {runs} runs against {args.rev}")
+    return 1 if found else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
