@@ -28,6 +28,7 @@ from .errors import ConfigurationError, DomainError, NumericError
 
 _EDGE_EPS = 1e-15  # probabilities below this do not count as edges
 _MIN_LANE = 256  # frames per lane of simulate at least; shorter runs are one lane
+_MAX_FRAMES = 10 ** 8  # frames per simulate run at most; it peaks at 14-19 bytes a frame
 
 
 # ---------------------------------------------------------------------------
@@ -234,24 +235,23 @@ def consumption_vector(policy: Policy, cons: ConsumptionMap, e_max: int) -> np.n
     return np.asarray([cons.consumption(int(a)) for a in acts], dtype=np.int64)
 
 
+def _level_tables(cons: ConsumptionMap, reward: RewardModel, policy: Policy, e_max: int):
+    """Per level under ``policy``: the level it charges from after spending,
+    and the reward it earns in the frame."""
+    acts = policy.action_vector(e_max)
+    starts = np.maximum(np.arange(e_max + 1) - consumption_vector(policy, cons, e_max), 0)
+    earned = np.array([attained_reward(reward, cons, int(a), e) for e, a in enumerate(acts)])
+    return starts, earned
+
+
 def build_chain(battery: BatteryModel, arrivals: ArrivalModel, cons: ConsumptionMap,
                 reward: RewardModel, policy: Policy):
     """Transition matrix and per-state reward vector induced by a policy.
 
     Returns (transition, state_reward); rows of ``transition`` sum to 1.
     """
-    n = battery.e_max + 1
-    acts = policy.action_vector(battery.e_max)
-    if len(acts) != n:
-        raise ConfigurationError("policy dimension does not match battery size")
-    dvec = consumption_vector(policy, cons, battery.e_max)
-    rows = charge_matrix(battery, arrivals)
-    starts = np.maximum(np.arange(n) - dvec, 0)
-    transition = rows[starts]
-    state_reward = np.array([
-        attained_reward(reward, cons, int(a), e) for e, a in enumerate(acts)
-    ])
-    return transition, state_reward
+    starts, state_reward = _level_tables(cons, reward, policy, battery.e_max)
+    return charge_matrix(battery, arrivals)[starts], state_reward
 
 
 # ---------------------------------------------------------------------------
@@ -366,23 +366,18 @@ def simulate(battery: BatteryModel, arrivals: ArrivalModel, cons: ConsumptionMap
     the next lane on. The visited levels equal those of a walk one frame at
     a time.
     """
-    if frames < 1:
-        raise DomainError("need at least one frame")
+    if not 1 <= frames <= _MAX_FRAMES:
+        raise DomainError(f"frames must lie in [1, {_MAX_FRAMES}], got {frames}")
     if not 0 <= e0 <= battery.e_max:
         raise DomainError(f"initial state {e0} out of range")
     rng = np.random.default_rng(seed)
     table = next_state_table(battery, arrivals.b_max)
-    acts = policy.action_vector(battery.e_max)
-    dvec = consumption_vector(policy, cons, battery.e_max)
-    jvec = np.array([
-        attained_reward(reward, cons, int(a), e) for e, a in enumerate(acts)
-    ])
+    starts, jvec = _level_tables(cons, reward, policy, battery.e_max)
 
     # a level e is stepped as its offset e·width in the flat table step:
     # step[e·width + b] is the offset after a frame that starts at e and
     # harvests b quanta
     width = arrivals.b_max + 1
-    starts = np.maximum(np.arange(battery.e_max + 1) - dvec, 0)
     step = (table[starts] * width).astype(np.min_scalar_type(table.size)).ravel()
 
     draws = sample_arrivals(arrivals, rng, frames)

@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import numbers
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import yaml
 
-from .chain import Partition
+from .chain import _MAX_FRAMES, Partition
 from .core import (
     ActionSet,
     ArrivalModel,
@@ -44,7 +44,7 @@ def _check_int(name: str, value, lowest: int, optional: bool = False):
 def _take(d: dict, section: str, allowed: set):
     unknown = set(d) - allowed
     if unknown:
-        raise ConfigurationError(f"{section}: unknown keys {sorted(unknown)}")
+        raise ConfigurationError(f"{section}: unknown keys {sorted(unknown, key=str)}")
 
 
 @dataclass
@@ -60,11 +60,6 @@ class BatteryConfig:
 
     def __post_init__(self):
         _check_int("battery.e_max", self.e_max, 1)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "BatteryConfig":
-        _take(d, "battery", {f for f in cls.__dataclass_fields__})
-        return cls(**d)
 
     def build(self, e_max: int | None = None, ideal: bool = False) -> BatteryModel:
         if ideal:
@@ -98,11 +93,6 @@ class ArrivalConfig:
     b_max: int | None = 50
     pmf: list | None = None
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ArrivalConfig":
-        _take(d, "arrivals", {f for f in cls.__dataclass_fields__})
-        return cls(**d)
-
     def build(self) -> ArrivalModel:
         if self.family == "explicit":
             if not self.pmf:
@@ -124,11 +114,6 @@ class RewardConfig:
     bandwidth: float | None = None
     noise_density: float | None = None
     channel_gain: float | None = None
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RewardConfig":
-        _take(d, "reward", {f for f in cls.__dataclass_fields__})
-        return cls(**d)
 
     def build(self, battery_cfg: BatteryConfig):
         if self.family == "log_snr":
@@ -158,11 +143,6 @@ class ConsumptionConfig:
     kind: str = "identity"           # identity | device
     band: str | None = None
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ConsumptionConfig":
-        _take(d, "consumption", {f for f in cls.__dataclass_fields__})
-        return cls(**d)
-
     def build(self, battery_cfg: BatteryConfig, band: str | None = None):
         if self.kind == "identity":
             return IdentityConsumption()
@@ -189,11 +169,6 @@ class ActionConfig:
         _check_int("actions.max_power", self.max_power, 0, optional=True)
         _check_int("actions.step", self.step, 1)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ActionConfig":
-        _take(d, "actions", {f for f in cls.__dataclass_fields__})
-        return cls(**d)
-
     def build(self, e_max: int, cons) -> ActionSet:
         if self.from_device or isinstance(cons, DeviceTableConsumption):
             if not isinstance(cons, DeviceTableConsumption):
@@ -214,11 +189,6 @@ class PartitionConfig:
 
     def __post_init__(self):
         _check_int("partition.n_subsets", self.n_subsets, 1)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PartitionConfig":
-        _take(d, "partition", {f for f in cls.__dataclass_fields__})
-        return cls(**d)
 
     def build(self, e_max: int, n_subsets: int | None = None) -> Partition:
         if self.boundaries is not None and n_subsets is None:
@@ -242,11 +212,6 @@ class SweepConfig:
             for value in getattr(self, name):
                 _check_int(f"sweep.{name}", value, 1)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "SweepConfig":
-        _take(d, "sweep", {f for f in cls.__dataclass_fields__})
-        return cls(**d)
-
 
 @dataclass
 class SearchConfig:
@@ -258,11 +223,6 @@ class SearchConfig:
         _check_int("search.budget", self.budget, 1)
         _check_int("search.refine_above", self.refine_above, 0, optional=True)
         _check_int("search.coarse_step", self.coarse_step, 1)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SearchConfig":
-        _take(d, "search", {f for f in cls.__dataclass_fields__})
-        return cls(**d)
 
 
 @dataclass
@@ -288,6 +248,8 @@ class ScenarioConfig:
         # checked here so that a bad value fails before any policy is solved;
         # each section checks its own numeric fields the same way
         _check_int("frames", self.frames, 1)
+        if self.frames > _MAX_FRAMES:
+            raise ConfigurationError(f"frames must be at most {_MAX_FRAMES}, got {self.frames}")
         _check_int("seed", self.seed, 0)
         if self.policy_source not in _POLICY_SOURCES:
             raise ConfigurationError(
@@ -314,14 +276,17 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioConfig":
-        _take(d, "config", {f for f in cls.__dataclass_fields__})
+        _take(d, "config", set(cls.__dataclass_fields__))
         kwargs = dict(d)
-        for key, sub in (("battery", BatteryConfig), ("arrivals", ArrivalConfig),
-                         ("reward", RewardConfig), ("consumption", ConsumptionConfig),
-                         ("actions", ActionConfig), ("partition", PartitionConfig),
-                         ("sweep", SweepConfig), ("search", SearchConfig)):
-            if key in kwargs:
-                kwargs[key] = sub.from_dict(dict(kwargs[key]))
+        # a section is a field whose default factory is its config class
+        for f in fields(cls):
+            if f.name not in kwargs or f.default_factory is MISSING:
+                continue
+            section = kwargs[f.name]
+            if not isinstance(section, dict):
+                raise ConfigurationError(f"{f.name} must be a mapping, got {section!r}")
+            _take(section, f.name, set(f.default_factory.__dataclass_fields__))
+            kwargs[f.name] = f.default_factory(**section)
         return cls(**kwargs)
 
     def to_dict(self) -> dict:

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -69,12 +67,8 @@ def solve_perfect_soc(battery: BatteryModel, arrivals: ArrivalModel, cons: Consu
 
     n = battery.e_max + 1
     acts = actions.as_array()
-    dcons = np.array([cons.consumption(int(a)) for a in acts], dtype=np.int64)
     states = np.arange(n)
-    start_of = np.maximum(states[:, None] - dcons[None, :], 0)  # (state, action)
-    feasible = dcons[None, :] <= states[:, None]
-    rates = np.asarray(reward.rate(acts), dtype=float)
-    j = np.where(feasible, rates[None, :], 0.0)
+    start_of, j = _action_tables(battery, cons, reward, actions)
 
     rows = charge_matrix(battery, arrivals)
     # one buffer holds each iterate's evaluation system and then its action
@@ -111,6 +105,20 @@ def solve_perfect_soc(battery: BatteryModel, arrivals: ArrivalModel, cons: Consu
 
     # the lowest-power action among those within round-off of the best
     return StatePolicy(actions=tuple(int(acts[i]) for i in near.argmax(axis=1)))
+
+
+def _action_tables(battery: BatteryModel, cons: ConsumptionMap, reward: RewardModel,
+                   actions: ActionSet):
+    """(state, action) tables: the level each state charges from after spending
+    on each action, and the reward that action earns there (0 if the state
+    cannot pay for it)."""
+    acts = actions.as_array()
+    dcons = np.array([cons.consumption(int(a)) for a in acts], dtype=np.int64)
+    states = np.arange(battery.e_max + 1)
+    start = np.maximum(states[:, None] - dcons[None, :], 0)
+    rates = np.asarray(reward.rate(acts), dtype=float)
+    earned = np.where(dcons[None, :] <= states[:, None], rates[None, :], 0.0)
+    return start, earned
 
 
 def _improve(q, choice, allowed=None):
@@ -193,11 +201,14 @@ def search_partition_policy(battery: BatteryModel, arrivals: ArrivalModel,
                             cons: ConsumptionMap, reward: RewardModel,
                             actions: ActionSet, partition: Partition, e0: int = 0,
                             budget: int = 10 ** 7) -> SearchResult:
-    """Enumerate every deterministic per-subset action assignment and return the best.
+    """Score every deterministic per-subset action assignment and return the best.
 
-    Ties (within strict float comparison) resolve to the lexicographically
-    smallest action vector because enumeration is in lexicographic order;
-    ``_candidate_gains`` describes how each candidate is scored.
+    ``_candidate_gains`` scores all |A|^N candidates at once, as one array
+    whose C order is the lexicographic order of the action vectors, and
+    ``np.argmax`` picks the winner. It takes the first maximum, so ties
+    (within strict float comparison) go to the lexicographically smallest
+    action vector; a NaN gain never wins. The array holds 8 bytes per
+    candidate, at most ``8 * budget``.
     """
     if not 0 <= e0 <= battery.e_max:
         raise DomainError(f"initial state {e0} out of range")
@@ -207,35 +218,36 @@ def search_partition_policy(battery: BatteryModel, arrivals: ArrivalModel,
             f"{len(actions)}^{partition.n_subsets} = {n_policies} policies exceeds budget "
             f"{budget}; coarsen the action grid or reduce the number of subsets")
 
-    best_gain = -math.inf
-    best_combo = None
-    count = 0
-    for combo, gain in _candidate_gains(battery, arrivals, cons, reward, actions,
-                                        partition, e0):
-        count += 1
-        if gain > best_gain:
-            best_gain = gain
-            best_combo = combo
+    # one action makes one candidate whatever the partition: it is scored on
+    # one subset, since NumPy arrays have at most 64 axes, and every subset
+    # takes that subset's action
+    scored = partition if len(actions) > 1 else Partition(e_max=battery.e_max, starts=(0,))
+    gains = _candidate_gains(battery, arrivals, cons, reward, actions, scored, e0)
+    np.copyto(gains, -np.inf, where=np.isnan(gains))
+    best = int(np.argmax(gains))
+    combo = np.unravel_index(best, gains.shape) * (partition.n_subsets // scored.n_subsets)
     policy = PartitionPolicy(
         partition=partition,
-        actions=tuple(actions.actions[i] for i in best_combo))
-    return SearchResult(best_policy=policy, best_reward=float(best_gain),
-                        evaluated_count=count)
+        actions=tuple(actions.actions[i] for i in combo))
+    return SearchResult(best_policy=policy, best_reward=float(gains.flat[best]),
+                        evaluated_count=n_policies)
 
 
 def _candidate_gains(battery: BatteryModel, arrivals: ArrivalModel, cons: ConsumptionMap,
-                     reward: RewardModel, actions: ActionSet, partition: Partition, e0: int):
-    """Yield (combo, gain) for every per-subset action assignment, in lexicographic
-    order; ``combo`` holds one index into ``actions`` per subset, and ``gain`` is
-    the long-run reward from ``e0``.
+                     reward: RewardModel, actions: ActionSet, partition: Partition,
+                     e0: int) -> np.ndarray:
+    """Long-run reward from ``e0`` of every per-subset action assignment, as an
+    array of shape (|A|,) * N: ``gains[combo]`` is the gain of the candidate
+    that takes action ``actions.actions[combo[i]]`` on subset i, so the
+    array's C order is the lexicographic order of the candidates.
 
-    The candidates form a prefix tree over the subsets, walked in
-    lexicographic order. At each depth i, if ``e0`` lies below subset i, a
-    graph search on the rows of the levels below it (fixed by the first i
-    actions) finds whether the chain from ``e0`` ever gets there. If it
-    cannot, no later action changes the gain, so every candidate below that
-    prefix shares one gain, computed once by the class route,
-    ``chain.exact_occupation``.
+    The candidates form a prefix tree over the subsets, and one recursive
+    walk fills the array, one subarray per prefix. At each depth i, if
+    ``e0`` lies below subset i, a graph search on the rows of the levels
+    below it (fixed by the first i actions) finds whether the chain from
+    ``e0`` ever gets there. If it cannot, no later action changes the gain,
+    so the prefix's whole subarray holds one gain, computed once by the
+    class route, ``chain.exact_occupation``.
 
     At the last depth the levels split into E, every subset but the last,
     and K, the last subset. The prefix of actions on E is eliminated once,
@@ -244,44 +256,33 @@ def _candidate_gains(battery: BatteryModel, arrivals: ArrivalModel, cons: Consum
     gain the complement cannot give (some E state never reaches K, or the
     censored chain is not unichain) take the class route.
     """
-    n = battery.e_max + 1
     n_subsets = partition.n_subsets
     rows = charge_matrix(battery, arrivals)
-    states = np.arange(n)
-    acts = actions.as_array()
-    n_acts = len(acts)
-    dcons = np.array([cons.consumption(int(a)) for a in acts], dtype=np.int64)
-    rates = np.asarray(reward.rate(acts), dtype=float)
-
-    # per candidate subset-action: consumption and per-state reward contribution
-    start_by_action = np.maximum(states[:, None] - dcons[None, :], 0)
-    j_by_action = np.where(dcons[None, :] <= states[:, None], rates[None, :], 0.0)
-
+    states = np.arange(battery.e_max + 1)
+    start_by_action, j_by_action = _action_tables(battery, cons, reward, actions)
     labels = partition.labels()
-    last = n_subsets - 1
-    stack = [()]  # prefixes still to visit, the next one on top
-    while stack:
-        prefix = stack.pop()
+    gains = np.empty((len(actions),) * n_subsets)
+
+    def fill(prefix):
         depth = len(prefix)
         k = partition.starts[depth]
-        if e0 < k or depth == last:
+        if e0 < k or depth == n_subsets - 1:
             choice_e = np.asarray(prefix, dtype=np.int64)[labels[:k]]
             p_e = rows[start_by_action[states[:k], choice_e]]
             reach = _reaches_last_subset(p_e > _EDGE_EPS, k)
         if e0 < k and not reach[e0]:
             # the chain from e0 never climbs to level k: one gain for the whole subtree
             choice = np.asarray(prefix + (0,) * (n_subsets - depth), dtype=np.int64)
-            gain = _class_gain(rows, start_by_action, j_by_action, choice[labels], e0)
-            gains = itertools.repeat(gain)
-        elif depth < last:
-            stack.extend(prefix + (a,) for a in reversed(range(n_acts)))
-            continue
+            gains[prefix] = _class_gain(rows, start_by_action, j_by_action, choice[labels], e0)
+        elif depth < n_subsets - 1:
+            for a in range(len(actions)):
+                fill(prefix + (a,))
         else:
-            gains = _last_subset_gains(rows, start_by_action, j_by_action,
-                                       choice_e, p_e, reach, e0).tolist()
-        tails = itertools.product(range(n_acts), repeat=n_subsets - depth)
-        for tail, gain in zip(tails, gains):
-            yield prefix + tail, gain
+            gains[prefix] = _last_subset_gains(rows, start_by_action, j_by_action,
+                                               choice_e, p_e, reach, e0)
+
+    fill(())
+    return gains
 
 
 def _class_gain(rows, start_by_action, j_by_action, choice, e0) -> float:
@@ -324,15 +325,17 @@ def _last_subset_gains(rows, start_by_action, j_by_action, choice_e, p_e, reach,
     r_k = j_by_action[k0:].T
     in_class, n_classes = _stack_closed_classes((m > _EDGE_EPS)[s_k])
     gains = np.empty(n_acts)
+    ok = n_classes == 1
     batch = max(1, _STACK_ENTRIES // (nk * nk))
     for lo in range(0, n_acts, batch):
-        starts = s_k[lo:lo + batch]
-        pi, ok = _censored_stationary(m[starts], n_classes[lo:lo + batch] == 1,
-                                      in_class[lo:lo + batch])
-        num = np.einsum("ck,ck->c", pi, r_k[lo:lo + batch] + mu[starts])
+        chunk = slice(lo, lo + batch)
+        starts = s_k[chunk]
+        pi, ok[chunk] = _censored_stationary(m[starts], ok[chunk], in_class[chunk])
+        num = np.einsum("ck,ck->c", pi, r_k[chunk] + mu[starts])
         den = np.einsum("ck,ck->c", pi, 1.0 + tau[starts])
-        for i in range(len(starts)):
-            gains[lo + i] = num[i] / den[i] if ok[i] else class_route(lo + i)
+        np.divide(num, den, out=gains[chunk], where=ok[chunk])
+    for a in np.flatnonzero(~ok):
+        gains[a] = class_route(a)
     return gains
 
 

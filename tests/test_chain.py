@@ -366,3 +366,10 @@ class TestSimulate:
         policy = StatePolicy(actions=(0,) * 101)
         with pytest.raises(DomainError):
             simulate(BASELINE, GEOM20, CONS, REWARD, policy, frames=10, seed=1, e0=e0)
+
+    @pytest.mark.parametrize("frames", [0, 10 ** 8 + 1])
+    def test_rejects_frame_count_out_of_range(self, frames):
+        # checked before any arrival is drawn, so the large count allocates nothing
+        policy = StatePolicy(actions=(0,) * 101)
+        with pytest.raises(DomainError, match="frames"):
+            simulate(BASELINE, GEOM20, CONS, REWARD, policy, frames=frames, seed=1)

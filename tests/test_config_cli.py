@@ -67,8 +67,11 @@ class TestConfig:
             ScenarioConfig.from_dict({"scenario": "x", "bogus": 1})
 
     def test_unknown_nested_key(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match=r"battery: unknown keys \['volts'\]"):
             ScenarioConfig.from_dict({"battery": {"e_max": 10, "volts": 3}})
+        # keys of mixed types are listed too, not compared with each other
+        with pytest.raises(ConfigurationError, match=r"battery: unknown keys \[1, 'volts'\]"):
+            ScenarioConfig.from_dict({"battery": {1: 2, "volts": 3}})
 
     def test_integration_steps_key_is_gone(self):
         # the charging flow is exact, so the old RK4 step count is an unknown key
@@ -172,6 +175,16 @@ class TestCli:
             "  family: explicit\n  pmf: [1.0]"), encoding="utf-8")
         assert main(["validate", "--config", str(bad)]) == 1
 
+    @pytest.mark.parametrize("section,bad", [
+        ("battery", 5), ("sweep", 3), ("battery", None), ("search", [1, 2])])
+    def test_section_that_is_not_a_mapping(self, tmp_path, capsys, section, bad):
+        data = yaml.safe_load(SMALL_YAML)
+        data[section] = bad
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(data), encoding="utf-8")
+        assert main(["validate", "--config", str(path)]) == 2
+        assert f"{section} must be a mapping" in capsys.readouterr().err
+
     def test_config_and_preset_conflict(self, small_config, capsys):
         code = main(["solve", "--config", str(small_config), "--preset", "baseline"])
         assert code == 2
@@ -269,7 +282,8 @@ class TestCli:
     @pytest.mark.parametrize("bad,flags", [
         ("frames: 1.5", []), ("frames: abc", []), ("frames: true", []),
         ("frames: 0", []), ("frames: -3", []), ("seed: 1.5", []), ("seed: abc", []),
-        ("seed: true", []), ("seed: -1", []), ("seed: 7", ["--seed", "-1"])])
+        ("seed: true", []), ("seed: -1", []), ("seed: 7", ["--seed", "-1"]),
+        ("frames: 100000001", [])])
     def test_bad_frames_or_seed_fails_before_solving(self, tmp_path, capsys, monkeypatch,
                                                      bad, flags):
         def no_solve(*args, **kwargs):

@@ -22,6 +22,7 @@ from ehpolicy import (
     evaluate_policy,
     get_preset,
     make_truncated_geometric,
+    optimize,
     refine_partition_search,
     search_partition_policy,
     solve_perfect_soc,
@@ -90,7 +91,9 @@ def lazy_power(transition, squarings=128):
 def candidate_gains(battery, arrivals, actions, partition, e0=0):
     """{action vector: gain} of every candidate the partition search scores."""
     gains = _candidate_gains(battery, arrivals, CONS, REWARD, actions, partition, e0)
-    return {tuple(actions.actions[i] for i in combo): gain for combo, gain in gains}
+    assert gains.shape == (len(actions),) * partition.n_subsets
+    return {tuple(actions.actions[i] for i in combo): float(gain)
+            for combo, gain in np.ndenumerate(gains)}
 
 
 def brute_force_best_state_policy(battery, arrivals, cons, reward, actions, e0=0):
@@ -259,13 +262,49 @@ class TestSearchPartitionPolicy:
         assert result.best_reward == max(table.values())
 
     def test_tie_breaks_lexicographically(self):
-        # no arrivals: every policy earns zero, so the all-idle vector must win
+        # no arrivals: every prefix is a trap and every policy earns zero, so
+        # the all-idle vector, the first maximum, must win
         arr = arrival_model_from_pmf([1.0])
-        part = Partition.uniform(20, 2)
         bat = BatteryModel(e_max=20, efficiency=QuadraticCapacitor(1.2))
-        result = search_partition_policy(bat, arr, CONS, REWARD,
-                                         ActionSet((0, 2, 5)), part)
-        assert result.best_policy.actions == (0, 0)
+        for n_subsets in (2, 3, 4):
+            result = search_partition_policy(bat, arr, CONS, REWARD, ActionSet((0, 2, 5)),
+                                             Partition.uniform(20, n_subsets))
+            assert result.best_policy.actions == (0,) * n_subsets
+            assert result.best_reward == 0.0
+            assert result.evaluated_count == 3 ** n_subsets
+
+    def test_nan_gain_never_wins(self, monkeypatch):
+        # the NaN sits on the true winner, so the runner-up must win instead
+        part = Partition.uniform(20, 2)
+        acts = ActionSet((0, 3, 7))
+        bat = BatteryModel(e_max=20, efficiency=QuadraticCapacitor(1.2))
+        arr = make_truncated_geometric(4.0, 10)
+        table = candidate_gains(bat, arr, acts, part)
+        winner = max(table, key=table.get)
+        runner_up = max((c for c in table if c != winner), key=table.get)
+        last_subset_gains = optimize._last_subset_gains
+        placed = []
+
+        def with_nan(rows, start_by_action, j_by_action, choice_e, *args):
+            gains = last_subset_gains(rows, start_by_action, j_by_action, choice_e, *args)
+            if acts.actions[choice_e[0]] == winner[0]:
+                gains[acts.actions.index(winner[1])] = np.nan
+                placed.append(True)
+            return gains
+
+        monkeypatch.setattr(optimize, "_last_subset_gains", with_nan)
+        result = search_partition_policy(bat, arr, CONS, REWARD, acts, part)
+        assert placed
+        assert result.best_policy.actions == runner_up
+        assert result.best_reward == table[runner_up]
+
+    def test_single_action_searches_any_partition(self):
+        # one candidate, whatever the number of subsets, even past NumPy's 64 axes
+        result = search_partition_policy(BASELINE, GEOM20, CONS, REWARD, ActionSet((0,)),
+                                         Partition.singleton(100))
+        assert result.best_policy.actions == (0,) * 101
+        assert result.best_reward == 0.0
+        assert result.evaluated_count == 1
 
     def test_multichain_candidates_get_their_class_gain(self, power_iteration):
         # with 6 quanta spent on LOW the chain from e0 = 0 never leaves LOW, while

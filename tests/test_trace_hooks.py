@@ -36,3 +36,8 @@ def test_traced_run_records_each_layer(tmp_path, command, spans):
     assert result["exit_code"] == 0
     assert spans <= {name for name, *_ in result["spans"]}
     assert result["counts"]["chain.reducible_route"] > 0
+    # SMALL_YAML searches actions 0, 2, ..., 10 on 2 subsets: 6^2 candidates
+    # per search, reported as a plain int that JSON can write
+    counts = [attrs["candidates"] for name, *_, attrs in result["spans"]
+              if name == "optimize.search"]
+    assert counts and all(type(c) is int and c == 6 ** 2 for c in counts)
