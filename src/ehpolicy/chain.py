@@ -362,9 +362,10 @@ def simulate(battery: BatteryModel, arrivals: ArrivalModel, cons: ConsumptionMap
     previous lane's end until it meets its first path: from there on the
     two paths see the same arrivals, so they are the same (the grand
     coupling of Propp and Wilson, 1996). A lane that never meets its first
-    path changes its end, and a frame-by-frame walk finishes the run from
-    the next lane on. The visited levels equal those of a walk one frame at
-    a time.
+    path changes its end, so its true path is stepped on into the next lanes
+    until it meets a recorded one, which bounds that walk by the coupling
+    time rather than the rest of the run. The visited levels equal those of
+    a walk one frame at a time.
     """
     if not 1 <= frames <= _MAX_FRAMES:
         raise DomainError(f"frames must lie in [1, {_MAX_FRAMES}], got {frames}")
@@ -408,19 +409,28 @@ def simulate(battery: BatteryModel, arrivals: ArrivalModel, cons: ConsumptionMap
         path[j, redo] = level
         level = step[level + lanes[j, redo]]
 
+    # a lane that never met its first path ends elsewhere than the next lane
+    # was started from: step its true path on, lane after lane, until it
+    # meets a recorded path, from where on the recorded path is the true one
+    path[length, redo] = level
+    lane = 0
+    while True:
+        wrong = path[length, lane:-1] != path[0, lane + 1:]
+        if not wrong.any():
+            break
+        lane += int(wrong.argmax()) + 1
+        e = int(path[length, lane - 1])
+        recorded = path[:length, lane].tolist()
+        for j, b in enumerate(lanes[:, lane].tolist()):
+            if e == recorded[j]:
+                break
+            recorded[j] = e
+            e = step.item(e + b)
+        else:
+            path[length, lane] = e
+        path[:length, lane] = recorded
+
     states = path[:length].T.ravel()[:frames]
-    if len(redo):
-        # lane redo[0] never met its first path, so the later lanes may start
-        # elsewhere than pass 2 assumed: walk on from its end, one frame at a time
-        lo = (redo[0] + 1) * length
-        flat = step.tolist()
-        e = int(level[0])
-        visited = []
-        visit = visited.append
-        for b in draws[lo:].tolist():
-            visit(e)
-            e = flat[e + b]
-        states[lo:] = visited
     states //= width
     # counted before the rewards exist: bincount makes an intp copy of states
     counts = np.bincount(states, minlength=battery.e_max + 1)

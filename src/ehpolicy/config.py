@@ -25,6 +25,7 @@ from .core import (
     make_truncated_poisson,
 )
 from .errors import ConfigurationError
+from .optimize import _MAX_BUDGET
 
 _POLICY_SOURCES = ("solve", "search", "lcp", "bp", "fixed", "cross_apply")
 
@@ -221,6 +222,9 @@ class SearchConfig:
 
     def __post_init__(self):
         _check_int("search.budget", self.budget, 1)
+        if self.budget > _MAX_BUDGET:
+            raise ConfigurationError(
+                f"search.budget must be at most {_MAX_BUDGET}, got {self.budget}")
         _check_int("search.refine_above", self.refine_above, 0, optional=True)
         _check_int("search.coarse_step", self.coarse_step, 1)
 

@@ -41,6 +41,7 @@ _STACK_ENTRIES = 1 << 14  # entries per stacked temporary in the censored-chain 
 _START_SWEEPS = 10  # value-iteration sweeps whose greedy policy starts policy iteration
 _MAX_ITERATIONS = 500  # policy-iteration steps before a cycle is reported
 _KEEP_RTOL = 1e-10  # a state's action changes only if beaten by more, relative to max |Q|
+_MAX_BUDGET = 10 ** 8  # candidates per partition search at most; it holds 8 bytes a candidate
 
 
 # ---------------------------------------------------------------------------
@@ -143,39 +144,62 @@ def _policy_values(rows, starts, reward, system):
 
     They solve g = P·g and g + h = r + P·h, with h = 0 at the lowest state
     of each closed class. ``system`` is an (n, n) buffer that is overwritten.
+
+    The chain is solved block by block, never as a whole. Each closed class
+    gets its own solve for its gain and bias. The transient levels split
+    into components, the maximal sets joined by an edge in either
+    direction, and each component gets one solve from the values of the
+    classes it drains into; the levels joined to no other transient level
+    share one diagonal block. With one closed class every level takes the
+    class gain as it is; with more, the absorption law averages the class
+    gains first.
     """
     n = len(starts)
     p = np.take(rows, starts, axis=0, out=system)
-    classes = _closed_classes(p > _EDGE_EPS)
-    if len(classes) == 1:
-        # one closed class: a single gain, and column ref carries it in place of h(ref) = 0
-        ref = classes[0][0]
-        _identity_minus(system)
-        system[:, ref] = 1.0
-        x = np.linalg.solve(system, reward)
-        gain = np.full(n, x[ref])
-        x[ref] = 0.0
-        return gain, x
-
-    gain = np.empty(n)
-    bias = np.empty(n)
+    support = p > _EDGE_EPS
+    blocks = _closed_classes(support)
+    n_classes = len(blocks)
     recurrent = np.zeros(n, dtype=bool)
-    for idx in classes:
-        a = _identity_minus(p[np.ix_(idx, idx)])
-        a[:, 0] = 1.0
-        x = np.linalg.solve(a, reward[idx])
-        gain[idx] = x[0]
-        x[0] = 0.0
-        bias[idx] = x
-        recurrent[idx] = True
+    for levels in blocks:
+        recurrent[levels] = True
     trans = np.flatnonzero(~recurrent)
     if len(trans):
-        rec = np.flatnonzero(recurrent)
-        lhs = _identity_minus(p[np.ix_(trans, trans)])
-        into = p[np.ix_(trans, rec)]
-        # the absorption law averages the class gains; the bias follows
-        gain[trans] = np.linalg.solve(lhs, into @ gain[rec])
-        bias[trans] = np.linalg.solve(lhs, reward[trans] - gain[trans] + into @ bias[rec])
+        joined = support[trans][:, trans]
+        joined |= joined.T
+        np.fill_diagonal(joined, False)
+        alone = ~joined.any(axis=1)
+        left = ~alone
+        while left.any():
+            component = _reach(joined, int(left.argmax()))
+            blocks.append(trans[component])
+            left &= ~component
+        if alone.any():
+            blocks.append(trans[alone])
+
+    gain = np.zeros(n)
+    bias = np.zeros(n)
+    for i, levels in enumerate(blocks):
+        # a run of consecutive levels, as most blocks are, is indexed by a
+        # slice, so that its rows and its block are views of p; I - P is
+        # formed in place, once nothing else reads those entries
+        run = levels[-1] - levels[0] < len(levels)
+        at = slice(levels[0], levels[-1] + 1) if run else levels
+        block_rows = p[at]
+        if i < n_classes:
+            a = _identity_minus(block_rows[:, at])
+            # column 0 carries the class gain in place of h = 0 at its lowest level
+            a[:, 0] = 1.0
+            x = np.linalg.solve(a, reward[at])
+            gain[at] = x[0]
+            x[0] = 0.0
+            bias[at] = x
+        else:
+            # what flows into the blocks solved so far: gain and bias are still 0
+            # on this block, and no edge joins it to another transient block
+            into = block_rows @ np.column_stack((gain, bias))
+            a = _identity_minus(block_rows[:, at])
+            gain[at] = np.linalg.solve(a, into[:, 0]) if n_classes > 1 else gain[blocks[0][0]]
+            bias[at] = np.linalg.solve(a, reward[at] - gain[at] + into[:, 1])
     return gain, bias
 
 
@@ -208,8 +232,11 @@ def search_partition_policy(battery: BatteryModel, arrivals: ArrivalModel,
     ``np.argmax`` picks the winner. It takes the first maximum, so ties
     (within strict float comparison) go to the lexicographically smallest
     action vector; a NaN gain never wins. The array holds 8 bytes per
-    candidate, at most ``8 * budget``.
+    candidate, at most ``8 * budget``, and ``budget`` itself may not exceed
+    ``_MAX_BUDGET``.
     """
+    if budget > _MAX_BUDGET:
+        raise BudgetExceededError(f"budget {budget} exceeds the largest budget {_MAX_BUDGET}")
     if not 0 <= e0 <= battery.e_max:
         raise DomainError(f"initial state {e0} out of range")
     n_policies = len(actions) ** partition.n_subsets

@@ -2,8 +2,9 @@
 
 - ``rk4_levels``: a plain fixed-step RK4 of the charging ODE; the library
   charges with the exact flow of each efficiency profile.
-- ``long_run_average``: power iteration for the limiting occupation; the
-  library finds recurrent classes by graph search and solves them directly.
+- ``long_run_average``: power iteration by squaring for the limiting
+  occupation; the library finds recurrent classes by graph search and
+  solves them directly.
 - ``simulate_reference``: the Monte Carlo recursion one frame at a time on
   draws searched in the arrival CDF; the library samples by bucketed inverse
   CDF and steps lanes of frames at once, coupling each lane to the previous
@@ -52,14 +53,18 @@ def rk4_levels(battery, y0, b, steps):
     return y
 
 
-def long_run_average(transition, state_reward, e0, tol=1e-10, max_iter=10 ** 6):
+def long_run_average(transition, state_reward, e0, max_squarings=128):
     """Limiting occupation from a point mass at ``e0`` and the induced average reward.
 
-    Power iteration with a running (Cesaro) average. Iteration uses the lazy
-    kernel (P + I)/2, which has the same recurrent classes, per-class
-    stationary laws and absorption weights as P but is aperiodic, so the
-    iterates themselves converge and periodic chains do not stall the
-    average. Returns (g, pi).
+    Power iteration by repeated squaring on the lazy kernel (P + I)/2, which
+    has the same recurrent classes, per-class stationary laws and absorption
+    weights as P but is aperiodic, so its powers converge and periodic
+    chains do not stall. After k squarings, row ``e0`` is the law after 2^k
+    lazy frames, and each squaring renormalizes the rows against round-off.
+    The iteration stops once a squaring moves that row by less than 1e-14
+    in L1 norm: the row has reached the lazy chain's fixed point, which is
+    the Cesaro limit. A leak too slow to move the row that much in one
+    squaring goes unseen, as with any stop on the step. Returns (g, pi).
     """
     p = _check_stochastic(transition)
     r = np.asarray(state_reward, dtype=float)
@@ -67,31 +72,22 @@ def long_run_average(transition, state_reward, e0, tol=1e-10, max_iter=10 ** 6):
     if not 0 <= e0 < n:
         raise DomainError(f"initial state {e0} out of range")
 
-    lazy = 0.5 * (p + np.eye(n))
-    v = np.zeros(n)
-    v[e0] = 1.0
-    avg = v.copy()
-    for k in range(1, max_iter + 1):
-        v_next = v @ lazy
-        step = np.abs(v_next - v).sum()
-        v = v_next
-        avg_next = avg + (v - avg) / (k + 1.0)
-        diff = np.abs(avg_next - avg).sum()
-        avg = avg_next
+    power = 0.5 * (p + np.eye(n))
+    power /= power.sum(axis=1, keepdims=True)
+    for _ in range(max_squarings):
+        row = power[e0].copy()
+        power = power @ power
+        power /= power.sum(axis=1, keepdims=True)
+        step = np.abs(power[e0] - row).sum()
         if step < 1e-14:
-            # v reached the lazy chain's fixed point; that fixed point IS the
-            # Cesaro limit, so skip the slow tail of the averaging.
-            avg = v
-            break
-        if diff < tol:
             break
     else:
         raise ConvergenceError(
-            f"occupation did not converge in {max_iter} iterations", residual=diff)
+            f"occupation did not converge in {max_squarings} squarings", residual=step)
 
-    avg = np.maximum(avg, 0.0)
-    avg /= avg.sum()
-    return float(avg @ r), avg
+    pi = np.maximum(power[e0], 0.0)
+    pi /= pi.sum()
+    return float(pi @ r), pi
 
 
 def simulate_reference(battery, arrivals, cons, reward, policy, frames, seed, e0=0):

@@ -314,7 +314,8 @@ class TestCli:
         ("sweep", "n_subsets", 2), ("sweep", "bands", "868MHz"),
         (None, "policy_source", "fixed"), (None, "fixed_actions", [1.5, 2.9]),
         (None, "fixed_actions", [2, -1]), (None, "fixed_actions", ["abc"]),
-        (None, "fixed_actions", [True]), (None, "fixed_actions", 3)])
+        (None, "fixed_actions", [True]), (None, "fixed_actions", 3),
+        ("search", "budget", 10 ** 8 + 1), ("search", "budget", 10 ** 30)])
     def test_bad_numeric_field_fails_before_searching(self, tmp_path, capsys, monkeypatch,
                                                       section, key, bad):
         # a section of None is a top-level field

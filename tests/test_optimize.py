@@ -28,7 +28,16 @@ from ehpolicy import (
     solve_perfect_soc,
     upper_bound,
 )
-from ehpolicy.chain import PartitionPolicy, StatePolicy, build_chain, exact_occupation
+from ehpolicy.chain import (
+    _EDGE_EPS,
+    PartitionPolicy,
+    StatePolicy,
+    _closed_classes,
+    _level_tables,
+    build_chain,
+    charge_matrix,
+    exact_occupation,
+)
 from ehpolicy.core import DeviceTableConsumption, arrival_model_from_pmf
 from ehpolicy.errors import (
     BudgetExceededError,
@@ -37,7 +46,7 @@ from ehpolicy.errors import (
     UnsupportedPartitionError,
 )
 from ehpolicy.harness import build_models
-from ehpolicy.optimize import _beta_star_vec, _candidate_gains
+from ehpolicy.optimize import _beta_star_vec, _candidate_gains, _policy_values
 
 BASELINE = BatteryModel(e_max=100, efficiency=QuadraticCapacitor(1.05))
 GEOM20 = make_truncated_geometric(20.0, 50)
@@ -86,6 +95,35 @@ def lazy_power(transition, squarings=128):
         power = power @ power
         power /= power.sum(axis=1, keepdims=True)
     return power
+
+
+@pytest.mark.parametrize("actions", [(0, 6, 0), (2, 6, 0)])
+def test_power_iteration_agrees_with_lazy_power(power_iteration, actions):
+    # N=3 candidates on which power iteration one frame at a time had not
+    # converged after 10^6 frames
+    battery = BatteryModel(e_max=31, efficiency=QuadraticCapacitor(1.9))
+    arrivals = arrival_model_from_pmf([4, 0, 2, 4, 0, 10, 5, 0, 7])
+    policy = PartitionPolicy(partition=Partition.uniform(31, 3), actions=actions)
+    transition, state_reward = build_chain(battery, arrivals, CONS, REWARD, policy)
+    g, pi = power_iteration(transition, state_reward, 0)
+    want = lazy_power(transition)[0]
+    assert np.abs(pi - want).max() <= 1e-12
+    assert g == pytest.approx(float(want @ state_reward), abs=1e-12)
+
+
+def dense_policy_values(transition, reward):
+    """Gain and bias of a chain with one closed class by one dense solve of the
+    whole chain: column ref of I - P, ref the class's lowest level, carries
+    the gain in place of h(ref) = 0."""
+    classes = _closed_classes(transition > _EDGE_EPS)
+    assert len(classes) == 1
+    ref = classes[0][0]
+    system = np.eye(len(transition)) - transition
+    system[:, ref] = 1.0
+    x = np.linalg.solve(system, reward)
+    gain = np.full(len(x), x[ref])
+    x[ref] = 0.0
+    return gain, x
 
 
 def candidate_gains(battery, arrivals, actions, partition, e0=0):
@@ -229,6 +267,59 @@ class TestSolvePerfectSoc:
         got = evaluate_policy(*models[:4], solve_perfect_soc(*models)).long_run_reward
         want = evaluate_policy(*models[:4], rvi_oracle(*models)).long_run_reward
         assert got == pytest.approx(want, abs=1e-12)
+
+
+class TestPolicyValues:
+    @pytest.mark.parametrize("e_max,spend,span", [
+        # the optimal policy at e_max 200: its class is levels 70-156, levels
+        # 0-69 only charge upwards and levels 157-200 spend back into the class,
+        # so the transient levels form two components
+        (200, None, (70, 156)),
+        # spending 5 quanta at every level: the class is every level
+        (100, 5, (0, 100))])
+    def test_unichain_matches_dense_solve(self, e_max, spend, span):
+        battery = BatteryModel(e_max=e_max, efficiency=QuadraticCapacitor(1.05))
+        if spend is None:
+            policy = solve_perfect_soc(battery, GEOM20, CONS, REWARD,
+                                       ActionSet(tuple(range(e_max + 1))))
+        else:
+            policy = StatePolicy(actions=(spend,) * (e_max + 1))
+        rows = charge_matrix(battery, GEOM20)
+        starts, state_reward = _level_tables(CONS, REWARD, policy, e_max)
+        gain, bias = _policy_values(rows, starts, state_reward, np.empty((e_max + 1,) * 2))
+        transition = rows[starts]
+        (cls,) = _closed_classes(transition > _EDGE_EPS)
+        assert cls.tolist() == list(range(span[0], span[1] + 1))
+        want_gain, want_bias = dense_policy_values(transition, state_reward)
+        assert gain.min() == gain.max()
+        assert gain[0] == pytest.approx(want_gain[0], abs=1e-12)
+        assert np.abs(bias - want_bias).max() <= 1e-9 * np.abs(want_bias).max()
+        assert bias[cls[0]] == 0.0
+
+    def test_transient_level_draining_into_two_classes(self):
+        # the parity chain of test_multichain_policy_with_equal_class_gains, whose
+        # even and odd levels are two closed classes, plus a level 6 that moves to
+        # level 0 or 3 or stays; the rewards give the classes different gains
+        bat = BatteryModel(e_max=5, efficiency=ConstantEfficiency(1.0))
+        arr = arrival_model_from_pmf([2, 0, 3])
+        parity, _ = build_chain(bat, arr, CONS, REWARD,
+                                StatePolicy(actions=(0, 0, 0, 0, 4, 4)))
+        transition = np.zeros((7, 7))
+        transition[:6, :6] = parity
+        transition[6, [0, 3, 6]] = 0.2, 0.3, 0.5
+        reward = np.array([0.1, 0.5, 0.2, 0.4, 0.3, 0.6, 0.7])
+        gain, bias = _policy_values(transition, np.arange(7), reward, np.empty((7, 7)))
+        assert [c.tolist() for c in _closed_classes(transition > _EDGE_EPS)] == [
+            [0, 2, 4], [1, 3, 5]]
+        assert bias[0] == 0.0 and bias[1] == 0.0
+        # g = P·g and g + h = r + P·h
+        assert np.abs(transition @ gain - gain).max() <= 1e-12
+        assert np.abs(reward + transition @ bias - gain - bias).max() <= 1e-12
+        # the absorption law: level 6 ends in the even class with probability 2/5
+        assert gain[[0, 2, 4]].tolist() == [gain[0]] * 3
+        assert gain[[1, 3, 5]].tolist() == [gain[1]] * 3
+        assert gain[0] != pytest.approx(gain[1], abs=1e-3)
+        assert gain[6] == pytest.approx(0.4 * gain[0] + 0.6 * gain[1], abs=1e-12)
 
 
 class TestSearchPartitionPolicy:
@@ -420,6 +511,18 @@ class TestSearchPartitionPolicy:
         with pytest.raises(BudgetExceededError):
             search_partition_policy(BASELINE, GEOM20, CONS, REWARD, acts, part,
                                     budget=10 ** 4)
+
+    @pytest.mark.parametrize("n_subsets", [2, 70])
+    def test_budget_above_the_cap_is_refused(self, n_subsets):
+        # refused before the gain array is allocated: 2^70 candidates would need
+        # 70 axes, past NumPy's 64, and 8 bytes each
+        part = Partition.uniform(100, n_subsets)
+        with pytest.raises(BudgetExceededError, match="largest budget"):
+            search_partition_policy(BASELINE, GEOM20, CONS, REWARD, ActionSet((0, 1)), part,
+                                    budget=10 ** 30)
+        with pytest.raises(BudgetExceededError, match="largest budget"):
+            search_partition_policy(BASELINE, GEOM20, CONS, REWARD, ActionSet((0, 1)), part,
+                                    budget=optimize._MAX_BUDGET + 1)
 
     def test_refinement_cannot_hurt(self):
         # a finer partition contains every coarser policy, so its optimum dominates
