@@ -20,7 +20,7 @@ from .core import (
     BatteryModel,
     ConsumptionMap,
     RewardModel,
-    attained_reward,
+    _spend_tables,
     next_state_table,
     sample_arrivals,
 )
@@ -238,10 +238,8 @@ def consumption_vector(policy: Policy, cons: ConsumptionMap, e_max: int) -> np.n
 def _level_tables(cons: ConsumptionMap, reward: RewardModel, policy: Policy, e_max: int):
     """Per level under ``policy``: the level it charges from after spending,
     and the reward it earns in the frame."""
-    acts = policy.action_vector(e_max)
-    starts = np.maximum(np.arange(e_max + 1) - consumption_vector(policy, cons, e_max), 0)
-    earned = np.array([attained_reward(reward, cons, int(a), e) for e, a in enumerate(acts)])
-    return starts, earned
+    rates = np.asarray(reward.rate(policy.action_vector(e_max)), dtype=float)
+    return _spend_tables(np.arange(e_max + 1), consumption_vector(policy, cons, e_max), rates)
 
 
 def build_chain(battery: BatteryModel, arrivals: ArrivalModel, cons: ConsumptionMap,

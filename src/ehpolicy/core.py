@@ -476,6 +476,16 @@ def attained_reward(reward: RewardModel, cons: ConsumptionMap, rho: int, e: int,
     return 0.0
 
 
+def _spend_tables(levels, dcons, rates):
+    """``attained_reward`` over broadcast arrays of levels, consumptions and
+    rates, with the level each frame charges from: ``(start, earned)``, where
+    start is the level after spending (0 if it cannot pay) and earned is the
+    rate if the level can pay, else 0."""
+    left = levels - dcons
+    earned = np.where(left >= 0, rates, 0.0)
+    return np.maximum(left, 0, out=left), earned
+
+
 # ---------------------------------------------------------------------------
 # Recharge hypothesis
 # ---------------------------------------------------------------------------

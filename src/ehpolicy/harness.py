@@ -8,7 +8,6 @@ import hashlib
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -289,6 +288,9 @@ def run_sweep(cfg: ScenarioConfig, out_dir, threads: int = 1) -> list:
     bands = cfg.sweep.bands or [cfg.consumption.band]
     points = [(cfg, e, band) for band in bands for e in e_values]
     if threads > 1:
+        # imported here: concurrent.futures.process adds 8-19 ms to every CLI start
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(_sweep_point, points))
     else:

@@ -28,6 +28,7 @@ from .core import (
     RewardModel,
     _charge_flow,
     _efficiency_unchecked,
+    _spend_tables,
     validate_recharge_hypothesis,
 )
 from .errors import (
@@ -37,7 +38,9 @@ from .errors import (
     UnsupportedPartitionError,
 )
 
-_STACK_ENTRIES = 1 << 14  # entries per stacked temporary in the censored-chain solves
+# entries per stacked temporary in the censored-chain solves, and per block
+# of policy iteration's (state, action) tables
+_STACK_ENTRIES = 1 << 14
 _START_SWEEPS = 10  # value-iteration sweeps whose greedy policy starts policy iteration
 _MAX_ITERATIONS = 500  # policy-iteration steps before a cycle is reported
 _KEEP_RTOL = 1e-10  # a state's action changes only if beaten by more, relative to max |Q|
@@ -60,6 +63,10 @@ def solve_perfect_soc(battery: BatteryModel, arrivals: ArrivalModel, cons: Consu
     round-off, and the iteration stops when no state changes. The policy
     returned takes, in each state, the lowest-power action whose value is
     within that round-off of the best, ``_KEEP_RTOL`` times max |Q|.
+
+    The sweeps and the greedy steps read the (state, action) values block by
+    block (``_action_blocks``), each block trimmed to the actions its states
+    can pay for; no table over every state and action is formed.
     """
     ok, _ = validate_recharge_hypothesis(battery, arrivals)
     if not ok:
@@ -67,45 +74,49 @@ def solve_perfect_soc(battery: BatteryModel, arrivals: ArrivalModel, cons: Consu
                       "at maximal arrivals; the solver may not be reliable", stacklevel=2)
 
     n = battery.e_max + 1
-    acts = actions.as_array()
     states = np.arange(n)
-    start_of, j = _action_tables(battery, cons, reward, actions)
-
+    dcons, rates = _action_costs(cons, reward, actions)
+    blocks = _action_blocks(dcons, rates, n)
+    buf = np.empty(max(start.size for _, start, _ in blocks))
     rows = charge_matrix(battery, arrivals)
-    # one buffer holds each iterate's evaluation system and then its action
-    # values q, which are only needed once the solve is done
-    work = np.empty(n * max(n, len(acts)))
-    system = work[:n * n].reshape(n, n)
-    q = work[:start_of.size].reshape(start_of.shape)
+    system = np.empty((n, n))  # each iterate's evaluation system
     h = np.zeros(n)
+    choice = np.empty(n, dtype=np.intp)
     for _ in range(_START_SWEEPS):
-        np.take(rows @ h, start_of, out=q)
-        q += j
-        h = q.max(axis=1)
-    choice = q.argmax(axis=1)
+        for at, _, q in _block_values(blocks, rows @ h, buf):
+            _row_best(q, choice[at], h[at])
     for _ in range(_MAX_ITERATIONS):
-        gain, bias = _policy_values(rows, start_of[states, choice], j[states, choice], system)
+        start, earned = _spend_tables(states, dcons[choice], rates[choice])
+        gain, bias = _policy_values(rows, start, earned, system)
         allowed = None
         if gain.min() < gain.max():
             # closed classes with different gains: improve on P·g first
-            np.take(rows @ gain, start_of, out=q)
-            improved, allowed = _improve(q, choice)
+            v = rows @ gain
+            improved, floor = _improve(blocks, v, buf, choice, v[start], with_reward=False)
             if not np.array_equal(improved, choice):
                 choice = improved
                 continue
-        np.take(rows @ bias, start_of, out=q)
-        q += j
-        improved, near = _improve(q, choice, allowed)
+            allowed = (v, floor)
+        # each state's action is allowed, since it kept its place in the step on P·g
+        v = rows @ bias
+        improved, floor = _improve(blocks, v, buf, choice, v[start] + earned, allowed=allowed)
         if np.array_equal(improved, choice):
             break
         choice = improved
-        del near  # a (state, action) mask held through the next solve raises the peak RSS
     else:
         raise ConvergenceError(
             f"policy iteration did not settle in {_MAX_ITERATIONS} iterations")
 
     # the lowest-power action among those within round-off of the best
-    return StatePolicy(actions=tuple(int(acts[i]) for i in near.argmax(axis=1)))
+    lowest = _first_reaching(blocks, v, buf, floor, allowed)
+    return StatePolicy(actions=tuple(actions.as_array()[lowest].tolist()))
+
+
+def _action_costs(cons: ConsumptionMap, reward: RewardModel, actions: ActionSet):
+    """Consumption and reward rate of each action."""
+    acts = actions.as_array()
+    dcons = np.array([cons.consumption(int(a)) for a in acts], dtype=np.int64)
+    return dcons, np.asarray(reward.rate(acts), dtype=float)
 
 
 def _action_tables(battery: BatteryModel, cons: ConsumptionMap, reward: RewardModel,
@@ -113,30 +124,97 @@ def _action_tables(battery: BatteryModel, cons: ConsumptionMap, reward: RewardMo
     """(state, action) tables: the level each state charges from after spending
     on each action, and the reward that action earns there (0 if the state
     cannot pay for it)."""
-    acts = actions.as_array()
-    dcons = np.array([cons.consumption(int(a)) for a in acts], dtype=np.int64)
-    states = np.arange(battery.e_max + 1)
-    start = np.maximum(states[:, None] - dcons[None, :], 0)
-    rates = np.asarray(reward.rate(acts), dtype=float)
-    earned = np.where(dcons[None, :] <= states[:, None], rates[None, :], 0.0)
-    return start, earned
+    dcons, rates = _action_costs(cons, reward, actions)
+    return _spend_tables(np.arange(battery.e_max + 1)[:, None], dcons, rates)
 
 
-def _improve(q, choice, allowed=None):
-    """Greedy step on the action values ``q`` (state, action), which it may overwrite.
+def _action_blocks(dcons, rates, n):
+    """The (state, action) tables of states 0..n-1 as ``(levels, start, earned)``
+    blocks: ``levels`` is a slice of consecutive states, and ``start`` and
+    ``earned`` hold their rows of ``_action_tables`` for the actions [0, cols).
 
-    A state keeps its action in ``choice`` unless another beats it by more
-    than round-off relative to max |q|. Only ``allowed`` actions compete, if
-    given. Returns the new choice and which actions come within that
-    round-off of the best.
+    The prefix holds every action that some state of the block can pay for,
+    and the first action that none of them can. Every later action is
+    unpayable in the whole block too, so it charges from level 0 and earns
+    nothing, as that first one does: it repeats a column of lower index, and
+    no row maximum, minimum, first maximiser or first entry above a floor
+    changes without it, whether or not consumption rises with power. A
+    block holds at most ``_STACK_ENTRIES`` entries, or one state.
     """
-    tol = _KEEP_RTOL * max(q.max(), -q.min())
+    levels = np.arange(n)
+    # the first action each level cannot pay for, and the last one it can
+    first_unpaid = np.searchsorted(np.maximum.accumulate(dcons), levels, side="right")
+    last_paid = np.searchsorted(np.minimum.accumulate(dcons[::-1])[::-1], levels,
+                                side="right") - 1
+    cols = np.minimum(np.maximum(first_unpaid, last_paid) + 1, len(dcons))
+    blocks = []
+    lo = 0
+    while lo < n:
+        # a block is as wide as its top state's prefix, which never narrows going up
+        size = np.arange(1, n - lo + 1) * cols[lo:]
+        hi = lo + max(1, int(np.searchsorted(size, _STACK_ENTRIES, side="right")))
+        width = cols[hi - 1]
+        start, earned = _spend_tables(levels[lo:hi, None], dcons[:width], rates[:width])
+        blocks.append((slice(lo, hi), start, earned))
+        lo = hi
+    return blocks
+
+
+def _block_values(blocks, v, buf, with_reward=True):
+    """Yield each block's levels, start table and action values v[start], plus
+    the reward if ``with_reward``; the values are a view of ``buf``, valid
+    until the next block."""
+    for at, start, reward in blocks:
+        # mode "raise", the default, would buffer the output
+        q = np.take(v, start, out=buf[:start.size].reshape(start.shape), mode="clip")
+        if with_reward:
+            q += reward
+        yield at, start, q
+
+
+def _row_best(q, top, best):
+    """First maximiser and maximum of each row of ``q``, into ``top`` and ``best``."""
+    q.argmax(axis=1, out=top)
+    best[:] = q[np.arange(len(q)), top]
+
+
+def _disallow(q, start, at, allowed):
+    """Set to -inf the values in ``q`` of the block's actions that a step on P·g
+    did not allow: ``allowed`` is its (v, floor) pair, or None for no step."""
     if allowed is not None:
-        np.copyto(q, -np.inf, where=~allowed)
-    best = q.max(axis=1)
-    near = q >= best[:, None] - tol
-    keep = near[np.arange(len(choice)), choice]
-    return np.where(keep, choice, q.argmax(axis=1)), near
+        v, floor = allowed
+        np.copyto(q, -np.inf, where=v[start] < floor[at, None])
+
+
+def _improve(blocks, v, buf, choice, value, with_reward=True, allowed=None):
+    """Greedy step on the action values v[start], plus the reward if ``with_reward``.
+
+    ``value`` holds each state's value under its action in ``choice``. A
+    state keeps that action unless another beats it by more than the
+    round-off tol = ``_KEEP_RTOL`` times the largest magnitude among all
+    the values. Only ``allowed`` actions compete (see ``_disallow``).
+    Returns the new choice and each state's floor, its best value less tol.
+    """
+    n = len(choice)
+    top = np.empty(n, dtype=np.intp)
+    best = np.empty(n)
+    big = 0.0
+    for at, start, q in _block_values(blocks, v, buf, with_reward):
+        big = max(big, q.max(), -q.min())
+        _disallow(q, start, at, allowed)
+        _row_best(q, top[at], best[at])
+    floor = best - _KEEP_RTOL * big
+    return np.where(value >= floor, choice, top), floor
+
+
+def _first_reaching(blocks, v, buf, floor, allowed=None):
+    """Each state's first allowed action whose value v[start] + reward reaches
+    its ``floor``."""
+    first = np.empty(len(floor), dtype=np.intp)
+    for at, start, q in _block_values(blocks, v, buf):
+        _disallow(q, start, at, allowed)
+        np.argmax(q >= floor[at, None], axis=1, out=first[at])
+    return first
 
 
 def _policy_values(rows, starts, reward, system):
@@ -155,7 +233,7 @@ def _policy_values(rows, starts, reward, system):
     gains first.
     """
     n = len(starts)
-    p = np.take(rows, starts, axis=0, out=system)
+    p = np.take(rows, starts, axis=0, out=system, mode="clip")  # "raise" would buffer out
     support = p > _EDGE_EPS
     blocks = _closed_classes(support)
     n_classes = len(blocks)

@@ -16,12 +16,22 @@ from ehpolicy import (
     StatePolicy,
     build_chain,
     evaluate_policy,
+    attained_reward,
     exact_occupation,
+    get_preset,
     make_truncated_geometric,
+    preset_names,
     simulate,
 )
-from ehpolicy.chain import _MIN_LANE, _closed_classes, _reach, _stack_closed_classes
+from ehpolicy.chain import (
+    _MIN_LANE,
+    _closed_classes,
+    _level_tables,
+    _reach,
+    _stack_closed_classes,
+)
 from ehpolicy.core import arrival_model_from_pmf
+from ehpolicy.harness import build_models
 from ehpolicy.errors import ConfigurationError, DomainError, NumericError
 
 BASELINE = BatteryModel(e_max=100, efficiency=QuadraticCapacitor(1.05))
@@ -196,6 +206,23 @@ class TestBuildChain:
                              PartitionPolicy(partition=part, actions=acts))
         assert np.array_equal(p1, p2)
         assert np.array_equal(r1, r2)
+
+    @pytest.mark.parametrize("preset", preset_names())
+    def test_level_tables_match_attained_reward(self, preset):
+        # a random action at each level of every point of the preset, against
+        # the scalar reward rule and the spend rule level by level
+        rng = np.random.default_rng(0)
+        cfg = get_preset(preset)
+        for band in cfg.sweep.bands or [None]:
+            for e_max in cfg.sweep.e_max or [None]:
+                m = build_models(cfg, e_max=e_max, band=band)
+                e_top = m.battery.e_max
+                policy = StatePolicy(actions=rng.choice(m.actions.actions, e_top + 1))
+                starts, earned = _level_tables(m.cons, m.reward, policy, e_top)
+                assert starts.tolist() == [max(e - m.cons.consumption(a), 0)
+                                           for e, a in enumerate(policy.actions)]
+                assert earned.tolist() == [attained_reward(m.reward, m.cons, a, e)
+                                           for e, a in enumerate(policy.actions)]
 
     def test_trap_cycle_returns_to_empty(self):
         # demanding more than the battery can ever store from empty cycles through 0

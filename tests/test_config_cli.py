@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import dataclasses
 import os
@@ -272,7 +273,7 @@ class TestCli:
         def no_pool(*args, **kwargs):
             raise AssertionError("a process pool was created")
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         out = tmp_path / "out"
         assert main(["sweep", "--config", str(small_config), "--out", str(out),
                      "--threads", str(threads)]) == 2

@@ -1,5 +1,7 @@
 import itertools
 import math
+import tracemalloc
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +40,7 @@ from ehpolicy.chain import (
     charge_matrix,
     exact_occupation,
 )
-from ehpolicy.core import DeviceTableConsumption, arrival_model_from_pmf
+from ehpolicy.core import DeviceTableConsumption, _spend_tables, arrival_model_from_pmf
 from ehpolicy.errors import (
     BudgetExceededError,
     ConvergenceError,
@@ -46,7 +48,15 @@ from ehpolicy.errors import (
     UnsupportedPartitionError,
 )
 from ehpolicy.harness import build_models
-from ehpolicy.optimize import _beta_star_vec, _candidate_gains, _policy_values
+from ehpolicy.optimize import (
+    _KEEP_RTOL,
+    _action_blocks,
+    _beta_star_vec,
+    _candidate_gains,
+    _first_reaching,
+    _improve,
+    _policy_values,
+)
 
 BASELINE = BatteryModel(e_max=100, efficiency=QuadraticCapacitor(1.05))
 GEOM20 = make_truncated_geometric(20.0, 50)
@@ -124,6 +134,24 @@ def dense_policy_values(transition, reward):
     gain = np.full(len(x), x[ref])
     x[ref] = 0.0
     return gain, x
+
+
+def dense_improve(q, choice, allowed=None):
+    """Greedy step on the full (state, action) table ``q``, which it overwrites,
+    as policy iteration took it before it worked in blocks.
+
+    A state keeps its action in ``choice`` unless another beats it by more
+    than round-off relative to max |q|. Only ``allowed`` actions compete, if
+    given. Returns the new choice and which actions come within that
+    round-off of the best.
+    """
+    tol = _KEEP_RTOL * max(q.max(), -q.min())
+    if allowed is not None:
+        np.copyto(q, -np.inf, where=~allowed)
+    best = q.max(axis=1)
+    near = q >= best[:, None] - tol
+    keep = near[np.arange(len(choice)), choice]
+    return np.where(keep, choice, q.argmax(axis=1)), near
 
 
 def candidate_gains(battery, arrivals, actions, partition, e0=0):
@@ -267,6 +295,113 @@ class TestSolvePerfectSoc:
         got = evaluate_policy(*models[:4], solve_perfect_soc(*models)).long_run_reward
         want = evaluate_policy(*models[:4], rvi_oracle(*models)).long_run_reward
         assert got == pytest.approx(want, abs=1e-12)
+
+
+def sweep_point_models():
+    """The models of every fig4 and fig5 sweep point."""
+    models = []
+    for preset in ("fig4", "fig5"):
+        cfg = get_preset(preset)
+        for band in cfg.sweep.bands or [None]:
+            for e_max in cfg.sweep.e_max:
+                m = build_models(cfg, e_max=e_max, band=band)
+                models.append((m.battery, m.arrivals, m.cons, m.reward, m.actions))
+    return models
+
+
+def multichain_models():
+    """The models of the multichain tests of TestSolvePerfectSoc."""
+    battery, arrivals, reward = random_scenario(np.random.default_rng(20260823))
+    return [
+        (BatteryModel(e_max=5, efficiency=ConstantEfficiency(1.0)),
+         arrival_model_from_pmf([2, 0, 3]), CONS, REWARD, ActionSet((0, 4))),
+        (BatteryModel(e_max=3, efficiency=QuadraticCapacitor(1.05)),
+         arrival_model_from_pmf([3, 3, 1, 0]), CONS, REWARD, ActionSet((0, 1))),
+        (battery, arrivals, CONS, reward,
+         ActionSet(tuple(range(0, arrivals.b_max + 1, max(1, arrivals.b_max // 8))))),
+    ]
+
+
+class TestBlockedImprovement:
+    @pytest.mark.parametrize("bound", [1, 20, 1 << 14])
+    @pytest.mark.parametrize("seed", range(30))
+    def test_matches_dense_step(self, monkeypatch, seed, bound):
+        # values on a grid of halves tie exactly, and offsets of 1e-12 tie
+        # within round-off; odd seeds draw consumption that falls as well as
+        # rises with power, and some actions cost more than the top level
+        rng = np.random.default_rng(seed)
+        n, n_acts = int(rng.integers(1, 60)), int(rng.integers(1, 16))
+        dcons = np.concatenate([[0], rng.integers(0, n + 5, n_acts - 1)])
+        if seed % 2 == 0:
+            dcons.sort()
+        rates = np.concatenate([[0.0], rng.integers(0, 4, n_acts - 1) * 0.5])
+        rates *= seed % 5 > 0  # every fifth seed earns nothing and gets a zero bias
+        monkeypatch.setattr(optimize, "_STACK_ENTRIES", bound)
+        blocks = _action_blocks(dcons, rates, n)
+        start_of, j = _spend_tables(np.arange(n)[:, None], dcons, rates)
+        for at, start, earned in blocks:
+            width = start.shape[1]
+            assert start.size <= bound or len(start) == 1
+            assert np.array_equal(start, start_of[at, :width])
+            assert np.array_equal(earned, j[at, :width])
+        assert [at.start for at, _, _ in blocks] == [0] + [at.stop for at, _, _ in blocks[:-1]]
+        assert blocks[-1][0].stop == n
+        buf = np.empty(max(start.size for _, start, _ in blocks))
+        states = np.arange(n)
+
+        def values(scale):
+            return rng.integers(-3, 2, n) * scale + rng.integers(0, 2, n) * 1e-12
+
+        # a step on P·g, as in an iterate with closed classes of different gains;
+        # every third seed takes a zero gain, whose round-off tolerance is 0
+        v_gain = values(0.5) if seed % 3 else np.zeros(n)
+        choice = rng.integers(0, n_acts, n)
+        want, allowed = dense_improve(v_gain[start_of], choice)
+        got, floor = _improve(blocks, v_gain, buf, choice, v_gain[start_of[states, choice]],
+                              with_reward=False)
+        assert np.array_equal(got, want)
+        # a step on r + P·h among the actions it allows, from a choice they all
+        # include, with and without the -inf mask
+        choice = got
+        v_bias = values(1.5) if seed % 5 else np.zeros(n)
+        value = v_bias[start_of[states, choice]] + j[states, choice]
+        for mask, gain_step in ((allowed, (v_gain, floor)), (None, None)):
+            want, near = dense_improve(v_bias[start_of] + j, choice, mask)
+            got, floor_bias = _improve(blocks, v_bias, buf, choice, value, allowed=gain_step)
+            assert np.array_equal(got, want)
+            lowest = _first_reaching(blocks, v_bias, buf, floor_bias, gain_step)
+            assert np.array_equal(lowest, near.argmax(axis=1))
+
+    @pytest.mark.parametrize("bound", [1, 20, 10 ** 12])
+    def test_block_bound_does_not_change_policies(self, monkeypatch, bound):
+        # one state per block, a few entries per block, and one block
+        models = sweep_point_models() + multichain_models()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the trap model breaks the recharge hypothesis
+            want = [solve_perfect_soc(*m) for m in models]
+            monkeypatch.setattr(optimize, "_STACK_ENTRIES", bound)
+            assert [solve_perfect_soc(*m) for m in models] == want
+
+    def test_tables_keep_only_payable_columns(self):
+        # e_max = 1000 over 1001 actions: a state pays for the actions up to its
+        # level, so a block keeps about half the full table
+        blocks = _action_blocks(np.arange(1001), np.ones(1001), 1001)
+        kept = sum(start.size for _, start, _ in blocks)
+        assert 0.5 * 1001 ** 2 < kept < 0.53 * 1001 ** 2
+
+    def test_peak_memory_of_a_large_solve(self):
+        # the large-battery workload: e_max = 1000 over 1001 actions; the
+        # charge matrix is cached before the trace starts
+        battery = BatteryModel(e_max=1000, efficiency=QuadraticCapacitor(1.05))
+        models = (battery, GEOM20, CONS, REWARD, ActionSet(tuple(range(1001))))
+        charge_matrix(battery, GEOM20)
+        tracemalloc.start()
+        try:
+            solve_perfect_soc(*models)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * 8 * 1001 ** 2
 
 
 class TestPolicyValues:

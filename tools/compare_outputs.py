@@ -25,6 +25,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SEEDS = (1, 3)
 COMMANDS = (
     ("solve", "--preset", "fig2"),
+    ("solve", "--config", "perfbench/large_battery.yaml"),
     ("search", "--preset", "fig3"),
     ("sweep", "--preset", "fig4"),
     ("sweep", "--preset", "fig5"),
