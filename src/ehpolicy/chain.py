@@ -20,6 +20,7 @@ from .core import (
     BatteryModel,
     ConsumptionMap,
     RewardModel,
+    _CHUNK,
     _spend_tables,
     next_state_table,
     sample_arrivals,
@@ -28,7 +29,7 @@ from .errors import ConfigurationError, DomainError, NumericError
 
 _EDGE_EPS = 1e-15  # probabilities below this do not count as edges
 _MIN_LANE = 256  # frames per lane of simulate at least; shorter runs are one lane
-_MAX_FRAMES = 10 ** 8  # frames per simulate run at most; it peaks at 14-19 bytes a frame
+_MAX_FRAMES = 10 ** 8  # frames per simulate run at most; it peaks at 10-13 bytes a frame
 
 
 # ---------------------------------------------------------------------------
@@ -252,13 +253,31 @@ def build_chain(battery: BatteryModel, arrivals: ArrivalModel, cons: Consumption
     return charge_matrix(battery, arrivals)[starts], state_reward
 
 
+def _gather_block(rows: np.ndarray, starts: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """The block on the sorted ``levels`` of the chain whose level e charges
+    from ``starts[e]``, gathered at block size: entry (i, j) is
+    ``rows[starts[levels[i]], levels[j]]``."""
+    if levels[-1] - levels[0] < len(levels):
+        # a run of consecutive levels is gathered by a slice, several times
+        # faster than by a pair of index arrays
+        at = slice(levels[0], levels[-1] + 1)
+        return rows[starts[at], at]
+    return rows[np.ix_(starts[levels], levels)]
+
+
 # ---------------------------------------------------------------------------
 # Long-run average reward
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class ChainAnalysis:
-    transition: np.ndarray
+    """A policy's chain from one initial level.
+
+    ``state_reward[e]`` is the reward level e earns in a frame,
+    ``stationary[e]`` the limiting share of frames spent at level e (0 at the
+    levels never reached), and ``long_run_reward`` their product summed.
+    """
+
     state_reward: np.ndarray
     stationary: np.ndarray
     long_run_reward: float
@@ -273,34 +292,45 @@ def _check_stochastic(transition: np.ndarray) -> np.ndarray:
     return p
 
 
-def exact_occupation(transition: np.ndarray, e0: int) -> np.ndarray:
+def exact_occupation(transition: np.ndarray, e0: int, within=None) -> np.ndarray:
     """Algebraic limiting occupation from ``e0``: absorption weights into each
     recurrent class reachable from e0, times the class stationary laws.
 
     This is the Cesaro limit of the state distribution started at e0, found
     by graph search and dense solves rather than by iterating the chain.
+
+    ``within``, if given, is a mask over the levels of a larger chain, and
+    ``transition`` is that chain's block on the masked levels, which must
+    hold every level reachable from ``e0``, a level of the larger chain.
+    The occupation is then over all the larger chain's levels, and it is
+    normalised over them, so that it equals the whole chain's to the bit.
     """
     p = _check_stochastic(transition)
-    n = p.shape[0]
-    if not 0 <= e0 < n:
+    if within is None:
+        within = np.ones(len(p), dtype=bool)
+    if not (0 <= e0 < len(within) and within[e0]):
         raise DomainError(f"initial state {e0} out of range")
+    levels = np.flatnonzero(within)
+    e0 = int(np.searchsorted(levels, e0))
     support = p > _EDGE_EPS
-    idx = np.flatnonzero(_reach(support, e0))
-    pr = p[np.ix_(idx, idx)]
-    classes = _closed_classes(support[np.ix_(idx, idx)])
+    reached = _reach(support, e0)
+    if not reached.all():
+        local = np.flatnonzero(reached)
+        p, support = p[np.ix_(local, local)], support[np.ix_(local, local)]
+        levels, e0 = levels[local], int(np.searchsorted(local, e0))
+    classes = _closed_classes(support)
 
-    e0_local = int(np.searchsorted(idx, e0))
-    home = [c for c in classes if e0_local in c]
+    home = [c for c in classes if e0 in c]
     if home or len(classes) == 1:
         # absorption is certain, so the lone reachable recurrent class gets
         # weight 1 without solving the (possibly ill-conditioned) transient block
         weights = [((home or classes)[0], 1.0)]
     else:
-        trans = np.setdiff1d(np.arange(len(idx)), np.concatenate(classes))
-        q = pr[np.ix_(trans, trans)]
+        trans = np.setdiff1d(np.arange(len(p)), np.concatenate(classes))
+        q = p[np.ix_(trans, trans)]
         lhs = np.eye(len(trans)) - q
-        start = int(np.searchsorted(trans, e0_local))
-        weights = [(c, float(np.linalg.solve(lhs, pr[np.ix_(trans, c)].sum(axis=1))[start]))
+        start = int(np.searchsorted(trans, e0))
+        weights = [(c, float(np.linalg.solve(lhs, p[np.ix_(trans, c)].sum(axis=1))[start]))
                    for c in classes]
         total = sum(max(w, 0.0) for _, w in weights)
         if not math.isfinite(total) or total <= 0.0:
@@ -308,13 +338,13 @@ def exact_occupation(transition: np.ndarray, e0: int) -> np.ndarray:
                                "ill-conditioned transient block")
         weights = [(c, max(w, 0.0) / total) for c, w in weights]
 
-    pi = np.zeros(n)
+    pi = np.zeros(len(within))
     for c, w in weights:
-        a = pr[np.ix_(c, c)].T - np.eye(len(c))
+        a = p[np.ix_(c, c)].T - np.eye(len(c))
         a[-1, :] = 1.0
         rhs = np.zeros(len(c))
         rhs[-1] = 1.0
-        pi[idx[c]] += w * np.linalg.solve(a, rhs)
+        pi[levels[c]] += w * np.linalg.solve(a, rhs)
     pi = np.maximum(pi, 0.0)
     pi /= pi.sum()
     return pi
@@ -322,11 +352,18 @@ def exact_occupation(transition: np.ndarray, e0: int) -> np.ndarray:
 
 def evaluate_policy(battery: BatteryModel, arrivals: ArrivalModel, cons: ConsumptionMap,
                     reward: RewardModel, policy: Policy, e0: int = 0) -> ChainAnalysis:
-    """Build the chain and compute its limiting occupation and average reward."""
-    transition, state_reward = build_chain(battery, arrivals, cons, reward, policy)
-    pi = exact_occupation(transition, e0)
+    """Limiting occupation and average reward of a policy's chain from ``e0``.
+
+    No n x n transition matrix is formed: the levels reachable from e0 are
+    found on the chain's support, and only their block is solved.
+    """
+    if not 0 <= e0 <= battery.e_max:
+        raise DomainError(f"initial state {e0} out of range")
+    starts, state_reward = _level_tables(cons, reward, policy, battery.e_max)
+    rows = charge_matrix(battery, arrivals)
+    reached = _reach(np.take(rows > _EDGE_EPS, starts, axis=0), e0)
+    pi = exact_occupation(_gather_block(rows, starts, np.flatnonzero(reached)), e0, reached)
     return ChainAnalysis(
-        transition=transition,
         state_reward=state_reward,
         stationary=pi,
         long_run_reward=float(pi @ state_reward),
@@ -379,7 +416,35 @@ def simulate(battery: BatteryModel, arrivals: ArrivalModel, cons: ConsumptionMap
     width = arrivals.b_max + 1
     step = (table[starts] * width).astype(np.min_scalar_type(table.size)).ravel()
 
-    draws = sample_arrivals(arrivals, rng, frames)
+    # the draws, the lanes and their paths are freed before the rewards exist
+    states = _walk_lanes(step, sample_arrivals(arrivals, rng, frames), e0 * width)
+    states //= width
+    # counted in chunks: bincount makes an intp copy of what it counts
+    counts = np.zeros(battery.e_max + 1, dtype=np.intp)
+    for lo in range(0, frames, _CHUNK):
+        counts += np.bincount(states[lo:lo + _CHUNK], minlength=len(counts))
+
+    rewards = jvec[states]
+    mean = float(rewards.mean())
+
+    n_batches = min(200, frames)
+    batch = frames // n_batches
+    means = rewards[: n_batches * batch].reshape(n_batches, batch).mean(axis=1)
+    se = float(means.std(ddof=1) / np.sqrt(n_batches)) if n_batches > 1 else float("nan")
+    return SimulationReport(
+        frames=frames,
+        empirical_reward=mean,
+        std_error=se,
+        visit_counts=counts,
+        seed=seed,
+    )
+
+
+def _walk_lanes(step: np.ndarray, draws: np.ndarray, start: int) -> np.ndarray:
+    """Offsets visited frame by frame, from offset ``start``, on the flat table
+    ``step`` under the arrivals ``draws``, found by the coupled lanes that
+    ``simulate`` describes."""
+    frames = len(draws)
     length = max(math.isqrt(frames), _MIN_LANE)
     n_lanes = -(-frames // length)
     lanes = np.zeros(n_lanes * length, dtype=draws.dtype)  # the last lane is padded
@@ -388,7 +453,7 @@ def simulate(battery: BatteryModel, arrivals: ArrivalModel, cons: ConsumptionMap
 
     # pass 1: every lane from its guessed start; path[j] holds the offsets at frame j
     path = np.zeros((length + 1, n_lanes), dtype=step.dtype)
-    path[0, 0] = e0 * width
+    path[0, 0] = start
     at = np.empty(n_lanes, dtype=np.intp)
     for j in range(length):
         np.add(path[j], lanes[j], out=at)
@@ -428,22 +493,4 @@ def simulate(battery: BatteryModel, arrivals: ArrivalModel, cons: ConsumptionMap
             path[length, lane] = e
         path[:length, lane] = recorded
 
-    states = path[:length].T.ravel()[:frames]
-    states //= width
-    # counted before the rewards exist: bincount makes an intp copy of states
-    counts = np.bincount(states, minlength=battery.e_max + 1)
-
-    rewards = jvec[states]
-    mean = float(rewards.mean())
-
-    n_batches = min(200, frames)
-    batch = frames // n_batches
-    means = rewards[: n_batches * batch].reshape(n_batches, batch).mean(axis=1)
-    se = float(means.std(ddof=1) / np.sqrt(n_batches)) if n_batches > 1 else float("nan")
-    return SimulationReport(
-        frames=frames,
-        empirical_reward=mean,
-        std_error=se,
-        visit_counts=counts,
-        seed=seed,
-    )
+    return path[:length].T.ravel()[:frames]

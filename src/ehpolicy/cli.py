@@ -9,6 +9,7 @@ import sys
 from .config import ScenarioConfig
 from .errors import EHPolicyError
 from .harness import (
+    check_threads,
     run_bound,
     run_search,
     run_simulate,
@@ -61,6 +62,7 @@ def _load_config(args) -> ScenarioConfig:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        check_threads(args.threads)  # every subcommand takes it; only sweep uses it
         cfg = _load_config(args)
         if args.command == "validate":
             ok, messages = run_validate(cfg)

@@ -26,6 +26,7 @@ _FLOOR_EPS = 1e-9
 # of 2^-53, so scaling it by this power of two and flooring is exact; the
 # bucket index is int16, so at most 1 << 15.
 _BUCKETS = 1 << 12
+_CHUNK = 1 << 16  # frames per chunk of the per-frame temporaries
 
 
 # ---------------------------------------------------------------------------
@@ -314,20 +315,25 @@ def sample_arrivals(model: ArrivalModel, rng: np.random.Generator, size: int) ->
     CDF whose sum rounds below 1 still draws b_max at the largest u. Each u
     falls in one of ``_BUCKETS`` equal buckets of [0, 1). A bucket with no
     knot strictly inside it gives the draw directly; only the few u in a
-    bucket with a knot are searched.
+    bucket with a knot are searched. The uniforms are drawn ``_CHUNK``
+    at a time, which yields the same stream as one call for all of them.
     """
-    u = rng.random(size)
-    u *= _BUCKETS  # in place; the knots are scaled to match, both exactly
-    knots = model.cdf_array()[:-1] * _BUCKETS
+    knots = model.cdf_array()[:-1] * _BUCKETS  # scaled as the uniforms are, both exactly
     edges = np.arange(_BUCKETS + 1, dtype=float)
     # every u in bucket k draws below[k], the number of knots at or under its
     # lower edge, unless a knot lies strictly inside the bucket
     below = np.searchsorted(knots, edges, side="right")
     knotted = np.searchsorted(knots, edges[1:], side="left") > below[:-1]
-    bucket = u.astype(np.int16)
-    draws = below[:-1].astype(np.min_scalar_type(model.b_max))[bucket]
-    hit = np.flatnonzero(knotted[bucket])
-    draws[hit] = np.searchsorted(knots, u[hit], side="right")
+    below = below[:-1].astype(np.min_scalar_type(model.b_max))
+    draws = np.empty(size, dtype=below.dtype)
+    for lo in range(0, size, _CHUNK):
+        u = rng.random(min(_CHUNK, size - lo))
+        u *= _BUCKETS
+        bucket = u.astype(np.int16)
+        out = draws[lo:lo + len(u)]
+        out[:] = below[bucket]
+        hit = np.flatnonzero(knotted[bucket])
+        out[hit] = np.searchsorted(knots, u[hit], side="right")
     return draws
 
 

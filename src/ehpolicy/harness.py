@@ -280,10 +280,15 @@ def _sweep_point(args):
     return rows
 
 
-def run_sweep(cfg: ScenarioConfig, out_dir, threads: int = 1) -> list:
+def check_threads(threads: int) -> None:
+    """Raise unless ``threads`` worker processes lie between 1 and the CPU count."""
     limit = os.cpu_count() or 1
     if not 1 <= threads <= limit:
         raise EHPolicyError(f"--threads counts worker processes, 1 to {limit}; got {threads}")
+
+
+def run_sweep(cfg: ScenarioConfig, out_dir, threads: int = 1) -> list:
+    check_threads(threads)
     e_values = cfg.sweep.e_max or [cfg.battery.e_max]
     bands = cfg.sweep.bands or [cfg.consumption.band]
     points = [(cfg, e, band) for band in bands for e in e_values]

@@ -14,9 +14,9 @@ from .chain import (
     PartitionPolicy,
     StatePolicy,
     _closed_classes,
+    _gather_block,
     _reach,
     _stack_closed_classes,
-    build_chain,
     charge_matrix,
     consumption_vector,
 )
@@ -79,7 +79,7 @@ def solve_perfect_soc(battery: BatteryModel, arrivals: ArrivalModel, cons: Consu
     blocks = _action_blocks(dcons, rates, n)
     buf = np.empty(max(start.size for _, start, _ in blocks))
     rows = charge_matrix(battery, arrivals)
-    system = np.empty((n, n))  # each iterate's evaluation system
+    edges = rows > _EDGE_EPS
     h = np.zeros(n)
     choice = np.empty(n, dtype=np.intp)
     for _ in range(_START_SWEEPS):
@@ -87,7 +87,7 @@ def solve_perfect_soc(battery: BatteryModel, arrivals: ArrivalModel, cons: Consu
             _row_best(q, choice[at], h[at])
     for _ in range(_MAX_ITERATIONS):
         start, earned = _spend_tables(states, dcons[choice], rates[choice])
-        gain, bias = _policy_values(rows, start, earned, system)
+        gain, bias = _policy_values(rows, edges, start, earned)
         allowed = None
         if gain.min() < gain.max():
             # closed classes with different gains: improve on P·g first
@@ -217,24 +217,24 @@ def _first_reaching(blocks, v, buf, floor, allowed=None):
     return first
 
 
-def _policy_values(rows, starts, reward, system):
-    """Gain and bias vectors of the policy whose state e charges from ``starts[e]``.
+def _policy_values(rows, edges, starts, reward):
+    """Gain and bias vectors of the policy whose state e charges from ``starts[e]``;
+    ``edges`` is ``rows > _EDGE_EPS``.
 
     They solve g = P·g and g + h = r + P·h, with h = 0 at the lowest state
-    of each closed class. ``system`` is an (n, n) buffer that is overwritten.
+    of each closed class.
 
-    The chain is solved block by block, never as a whole. Each closed class
-    gets its own solve for its gain and bias. The transient levels split
-    into components, the maximal sets joined by an edge in either
-    direction, and each component gets one solve from the values of the
-    classes it drains into; the levels joined to no other transient level
-    share one diagonal block. With one closed class every level takes the
-    class gain as it is; with more, the absorption law averages the class
-    gains first.
+    The chain is solved block by block, never as a whole, and no row of P
+    is gathered whole. Each closed class gets its own solve for its gain
+    and bias. The transient levels split into components, the maximal sets
+    joined by an edge in either direction, and each component gets one
+    solve from the values of the classes it drains into; the levels joined
+    to no other transient level share one diagonal block. With one closed
+    class every level takes the class gain as it is; with more, the
+    absorption law averages the class gains first.
     """
     n = len(starts)
-    p = np.take(rows, starts, axis=0, out=system, mode="clip")  # "raise" would buffer out
-    support = p > _EDGE_EPS
+    support = np.take(edges, starts, axis=0)
     blocks = _closed_classes(support)
     n_classes = len(blocks)
     recurrent = np.zeros(n, dtype=bool)
@@ -253,31 +253,26 @@ def _policy_values(rows, starts, reward, system):
             left &= ~component
         if alone.any():
             blocks.append(trans[alone])
+    del support  # n x n; the block solves below do not read it
 
     gain = np.zeros(n)
     bias = np.zeros(n)
     for i, levels in enumerate(blocks):
-        # a run of consecutive levels, as most blocks are, is indexed by a
-        # slice, so that its rows and its block are views of p; I - P is
-        # formed in place, once nothing else reads those entries
-        run = levels[-1] - levels[0] < len(levels)
-        at = slice(levels[0], levels[-1] + 1) if run else levels
-        block_rows = p[at]
+        a = _identity_minus(_gather_block(rows, starts, levels))
         if i < n_classes:
-            a = _identity_minus(block_rows[:, at])
             # column 0 carries the class gain in place of h = 0 at its lowest level
             a[:, 0] = 1.0
-            x = np.linalg.solve(a, reward[at])
-            gain[at] = x[0]
+            x = np.linalg.solve(a, reward[levels])
+            gain[levels] = x[0]
             x[0] = 0.0
-            bias[at] = x
+            bias[levels] = x
         else:
             # what flows into the blocks solved so far: gain and bias are still 0
             # on this block, and no edge joins it to another transient block
-            into = block_rows @ np.column_stack((gain, bias))
-            a = _identity_minus(block_rows[:, at])
-            gain[at] = np.linalg.solve(a, into[:, 0]) if n_classes > 1 else gain[blocks[0][0]]
-            bias[at] = np.linalg.solve(a, reward[at] - gain[at] + into[:, 1])
+            into = (rows @ np.column_stack((gain, bias)))[starts[levels]]
+            gain[levels] = (np.linalg.solve(a, into[:, 0]) if n_classes > 1
+                            else gain[blocks[0][0]])
+            bias[levels] = np.linalg.solve(a, reward[levels] - gain[levels] + into[:, 1])
     return gain, bias
 
 

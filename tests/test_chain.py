@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from ehpolicy import (
+    ActionSet,
     BatteryModel,
     ConstantEfficiency,
     IdentityConsumption,
@@ -22,13 +25,16 @@ from ehpolicy import (
     make_truncated_geometric,
     preset_names,
     simulate,
+    solve_perfect_soc,
 )
 from ehpolicy.chain import (
+    _EDGE_EPS,
     _MIN_LANE,
     _closed_classes,
     _level_tables,
     _reach,
     _stack_closed_classes,
+    charge_matrix,
 )
 from ehpolicy.core import arrival_model_from_pmf
 from ehpolicy.harness import build_models
@@ -38,6 +44,23 @@ BASELINE = BatteryModel(e_max=100, efficiency=QuadraticCapacitor(1.05))
 GEOM20 = make_truncated_geometric(20.0, 50)
 REWARD = LogSnrReward(0.01)
 CONS = IdentityConsumption()
+LARGE = BatteryModel(e_max=1000, efficiency=QuadraticCapacitor(1.05))
+
+
+@pytest.fixture(scope="module")
+def large_policy():
+    """The large-battery workload's policy: e_max = 1000, solved over 1001 actions."""
+    return solve_perfect_soc(LARGE, GEOM20, CONS, REWARD, ActionSet(tuple(range(1001))))
+
+
+def traced_peak(fn):
+    """Peak bytes that ``fn()`` allocates, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def random_support(rng, k):
@@ -302,6 +325,33 @@ class TestLongRunAverage:
         with pytest.raises(DomainError):
             evaluate_policy(BASELINE, GEOM20, CONS, REWARD, policy, e0)
 
+    def test_evaluation_equals_the_whole_chain(self):
+        # evaluate_policy solves only the block reachable from e0: 7 to 101
+        # levels here; the partition policy empties the battery in LOW and
+        # keeps it full in HIGH
+        rng = np.random.default_rng(12)
+        policies = [StatePolicy(actions=tuple(rng.integers(0, 101, size=101)))
+                    for _ in range(6)]
+        policies.append(PartitionPolicy(partition=Partition.uniform(100, 2), actions=(100, 0)))
+        for policy in policies:
+            transition, reward = build_chain(BASELINE, GEOM20, CONS, REWARD, policy)
+            for e0 in (0, 37, 100):
+                pi = exact_occupation(transition, e0)
+                analysis = evaluate_policy(BASELINE, GEOM20, CONS, REWARD, policy, e0)
+                assert np.array_equal(analysis.stationary, pi)
+                assert analysis.long_run_reward == float(pi @ reward)
+                # the same block given to exact_occupation with its mask
+                reached = _reach(transition > _EDGE_EPS, e0)
+                block = transition[np.ix_(reached, reached)]
+                assert np.array_equal(exact_occupation(block, e0, reached), pi)
+
+    def test_peak_memory_of_a_large_evaluation(self, large_policy):
+        # no n x n transition matrix is formed; the charge matrix is cached
+        # before the trace starts
+        charge_matrix(LARGE, GEOM20)
+        peak = traced_peak(lambda: evaluate_policy(LARGE, GEOM20, CONS, REWARD, large_policy))
+        assert peak <= 1.75 * 8 * 1001 ** 2
+
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 10 ** 6))
     def test_occupation_is_stationary_on_reachable_class(self, seed):
@@ -351,9 +401,12 @@ class TestSimulate:
         assert got.std_error == want.std_error
 
     # a run shorter than one lane, about one lane, 300 lanes of 300 frames,
-    # and 300 full lanes plus a padded lane of 7 frames
+    # 300 full lanes plus a padded lane of 7 frames, and runs about the
+    # edges of the 2^16-frame chunks in which arrivals are drawn and visits
+    # counted
     @pytest.mark.parametrize("frames", [37, _MIN_LANE - 1, _MIN_LANE, _MIN_LANE + 1,
-                                        300 * 300, 300 * 300 + 7])
+                                        300 * 300, 300 * 300 + 7,
+                                        65535, 65536, 65537, 3 * 65536 + 5])
     def test_matches_reference_across_lane_edges(self, simulate_oracle, frames):
         policy = PartitionPolicy(partition=Partition.uniform(100, 2), actions=(4, 26))
         args = (BASELINE, GEOM20, CONS, REWARD, policy)
@@ -387,6 +440,15 @@ class TestSimulate:
         report = simulate(*args, frames=90_007, seed=4, e0=73)
         assert report.visit_counts[73] == 90_007
         self.assert_same_run(report, simulate_oracle(*args, frames=90_007, seed=4, e0=73))
+
+    def test_peak_memory_of_a_long_run(self, large_policy):
+        # the large-battery workload's 10^6 frames; the tables are cached
+        # before the trace starts
+        args = (LARGE, GEOM20, CONS, REWARD, large_policy)
+        simulate(*args, frames=10, seed=1)
+        frames = 10 ** 6
+        peak = traced_peak(lambda: simulate(*args, frames=frames, seed=1))
+        assert peak <= 13 * frames
 
     @pytest.mark.parametrize("e0", [-1, 101])
     def test_rejects_start_outside_battery(self, e0):

@@ -280,6 +280,23 @@ class TestCli:
         assert "worker processes" in capsys.readouterr().err
         assert not (out / "results.csv").exists()
 
+    @pytest.mark.parametrize("threads", [0, -3, (os.cpu_count() or 1) + 1])
+    @pytest.mark.parametrize("command", ["solve", "search", "sweep", "simulate", "bound",
+                                         "validate"])
+    def test_threads_checked_for_every_command(self, small_config, tmp_path, capsys,
+                                               monkeypatch, command, threads):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was created")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(small_config), "--out", str(out),
+                     "--threads", str(threads)]) == 2
+        err = capsys.readouterr()
+        assert "worker processes" in err.err
+        assert err.out == ""
+        assert not out.exists()
+
     @pytest.mark.parametrize("bad,flags", [
         ("frames: 1.5", []), ("frames: abc", []), ("frames: true", []),
         ("frames: 0", []), ("frames: -3", []), ("seed: 1.5", []), ("seed: abc", []),

@@ -245,16 +245,21 @@ class TestSampling:
         b = sample_arrivals(arr, np.random.default_rng(42), 1000)
         assert np.array_equal(a, b)
 
-    @pytest.mark.parametrize("arr", [
-        arrival_model_from_pmf([0] * 7 + [1.0]),
-        arrival_model_from_pmf([0.5, 0.25, 0.25]),  # CDF knots on bucket edges
-        make_truncated_geometric(20.0, 50),
-        make_truncated_poisson(20.0, 50),
-    ], ids=["degenerate", "edge-knots", "geometric", "poisson"])
-    def test_matches_inverse_cdf_search(self, arr):
-        u = np.random.default_rng(11).random(200_000)
+    # the uniforms are drawn in chunks of 2^16; the last sizes lie about a
+    # chunk's edges
+    @pytest.mark.parametrize("arr,size", [
+        pytest.param(arrival_model_from_pmf([0] * 7 + [1.0]), 200_000, id="degenerate"),
+        # CDF knots on bucket edges
+        pytest.param(arrival_model_from_pmf([0.5, 0.25, 0.25]), 200_000, id="edge-knots"),
+        pytest.param(make_truncated_geometric(20.0, 50), 200_000, id="geometric"),
+        pytest.param(make_truncated_poisson(20.0, 50), 200_000, id="poisson"),
+        *(pytest.param(make_truncated_geometric(20.0, 50), size, id=f"geometric-{size}")
+          for size in (65535, 65536, 65537, 3 * 65536 + 5)),
+    ])
+    def test_matches_inverse_cdf_search(self, arr, size):
+        u = np.random.default_rng(11).random(size)
         want = np.searchsorted(arr.cdf_array(), u, side="right")
-        got = sample_arrivals(arr, np.random.default_rng(11), 200_000)
+        got = sample_arrivals(arr, np.random.default_rng(11), size)
         assert np.array_equal(got, want)
 
     def test_uniforms_on_knots_and_bucket_edges(self):

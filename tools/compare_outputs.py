@@ -7,8 +7,8 @@ diff their outputs.
 runs on both trees with `--threads 1` at seeds 1 and 3, in a fresh
 interpreter with BLAS, OpenMP and MKL on one thread. Every CSV and
 `run_manifest.txt` they write is compared; the `wall_time_s` column is
-ignored. The script prints each difference and exits 1 if there is any,
-0 if the outputs are identical.
+ignored. The script prints each run's peak RSS on both trees, then each
+difference, and exits 1 if there is any, 0 if the outputs are identical.
 """
 
 from __future__ import annotations
@@ -38,17 +38,28 @@ ONE_THREAD = {name: "1" for name in
               ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 
 
-def run_all(tree: Path, out: Path) -> None:
-    """Run every command at every seed on ``tree``, each into its own directory of ``out``."""
+def run_all(tree: Path, out: Path) -> dict:
+    """Run every command at every seed on ``tree``, each into its own directory
+    of ``out``; returns each run's peak RSS in MiB, keyed by that directory's name."""
     env = {**os.environ, **ONE_THREAD, "PYTHONPATH": str(tree / "src")}
+    peaks = {}
     for command in COMMANDS:
         for seed in SEEDS:
-            target = out / f"{'_'.join(command).replace('/', '_')}_seed{seed}"
-            argv = [sys.executable, "-m", "ehpolicy.cli", *command, "--out", str(target),
+            name = f"{'_'.join(command).replace('/', '_')}_seed{seed}"
+            argv = [sys.executable, "-m", "ehpolicy.cli", *command, "--out", str(out / name),
                     "--seed", str(seed), "--threads", "1"]
-            done = subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True)
-            if done.returncode:
-                raise SystemExit(f"{' '.join(argv)} failed in {tree}:\n{done.stderr}")
+            with tempfile.TemporaryFile() as err:
+                child = subprocess.Popen(argv, cwd=tree, env=env, stdout=subprocess.DEVNULL,
+                                         stderr=err)
+                # wait4 reaps the child and returns the resource usage of that child alone
+                _, status, usage = os.wait4(child.pid, 0)
+                child.returncode = os.waitstatus_to_exitcode(status)
+                if child.returncode:
+                    err.seek(0)
+                    raise SystemExit(f"{' '.join(argv)} failed in {tree}:\n"
+                                     f"{err.read().decode(errors='replace')}")
+            peaks[name] = usage.ru_maxrss / 1024  # ru_maxrss is in KiB on Linux
+    return peaks
 
 
 def read_csv(path: Path) -> list:
@@ -95,12 +106,15 @@ def main(argv=None) -> int:
         subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--detach", "--quiet",
                         str(checkout), args.rev], check=True)
         try:
-            run_all(checkout, out / "rev")
-            run_all(ROOT, out / "tree")
+            peaks_rev = run_all(checkout, out / "rev")
+            peaks_tree = run_all(ROOT, out / "tree")
         finally:
             subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force",
                             str(checkout)], check=True)
         found = differences(out / "rev", out / "tree")
+    print(f"peak RSS in MiB: {args.rev} -> this tree")
+    for name, peak in peaks_rev.items():
+        print(f"  {name}: {peak:.1f} -> {peaks_tree[name]:.1f}")
     for line in found:
         print(line)
     runs = len(COMMANDS) * len(SEEDS)
