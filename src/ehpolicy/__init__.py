@@ -10,7 +10,6 @@ from .chain import (  # noqa: F401
     PartitionPolicy,
     SimulationReport,
     StatePolicy,
-    build_chain,
     evaluate_policy,
     exact_occupation,
     simulate,
@@ -26,7 +25,6 @@ from .core import (  # noqa: F401
     QuadraticCapacitor,
     ShannonReward,
     TabulatedEfficiency,
-    attained_reward,
     battery_step,
     efficiency_at,
     integrate_frame,

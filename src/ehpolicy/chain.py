@@ -1,7 +1,7 @@
 """Finite Markov chain induced by a transmission policy.
 
-Builds the state-transition matrix over battery levels, evaluates the
-long-run average reward from a given initial charge (robust to reducible
+Builds the policy-independent charge matrix over battery levels, evaluates
+the long-run average reward from a given initial charge (robust to reducible
 chains, e.g. the failed-transmission trap), and cross-validates the
 analytic value with Monte Carlo simulation.
 """
@@ -146,11 +146,6 @@ class Partition:
         pieces = np.array_split(np.arange(e_max + 1), n_subsets)
         return cls(e_max=e_max, starts=tuple(int(p[0]) for p in pieces))
 
-    @classmethod
-    def singleton(cls, e_max: int) -> "Partition":
-        """Full-resolution partition: one subset per level (perfect SoC)."""
-        return cls(e_max=e_max, starts=tuple(range(e_max + 1)))
-
     @property
     def n_subsets(self) -> int:
         return len(self.starts)
@@ -243,16 +238,6 @@ def _level_tables(cons: ConsumptionMap, reward: RewardModel, policy: Policy, e_m
     return _spend_tables(np.arange(e_max + 1), consumption_vector(policy, cons, e_max), rates)
 
 
-def build_chain(battery: BatteryModel, arrivals: ArrivalModel, cons: ConsumptionMap,
-                reward: RewardModel, policy: Policy):
-    """Transition matrix and per-state reward vector induced by a policy.
-
-    Returns (transition, state_reward); rows of ``transition`` sum to 1.
-    """
-    starts, state_reward = _level_tables(cons, reward, policy, battery.e_max)
-    return charge_matrix(battery, arrivals)[starts], state_reward
-
-
 def _gather_block(rows: np.ndarray, starts: np.ndarray, levels: np.ndarray) -> np.ndarray:
     """The block on the sorted ``levels`` of the chain whose level e charges
     from ``starts[e]``, gathered at block size: entry (i, j) is
@@ -292,33 +277,29 @@ def _check_stochastic(transition: np.ndarray) -> np.ndarray:
     return p
 
 
-def exact_occupation(transition: np.ndarray, e0: int, within=None) -> np.ndarray:
-    """Algebraic limiting occupation from ``e0``: absorption weights into each
-    recurrent class reachable from e0, times the class stationary laws.
+def exact_occupation(rows: np.ndarray, starts, e0: int) -> np.ndarray:
+    """Algebraic limiting occupation from ``e0`` of the chain whose level e
+    charges from ``starts[e]``, so that its transition row at e is
+    ``rows[starts[e]]``: absorption weights into each recurrent class
+    reachable from e0, times the class stationary laws. A dense transition
+    matrix is the case ``starts = np.arange(n)``.
 
     This is the Cesaro limit of the state distribution started at e0, found
     by graph search and dense solves rather than by iterating the chain.
-
-    ``within``, if given, is a mask over the levels of a larger chain, and
-    ``transition`` is that chain's block on the masked levels, which must
-    hold every level reachable from ``e0``, a level of the larger chain.
-    The occupation is then over all the larger chain's levels, and it is
-    normalised over them, so that it equals the whole chain's to the bit.
+    Only the block on the levels reachable from e0 is gathered and solved.
     """
-    p = _check_stochastic(transition)
-    if within is None:
-        within = np.ones(len(p), dtype=bool)
-    if not (0 <= e0 < len(within) and within[e0]):
+    rows = _check_stochastic(rows)
+    n = len(rows)
+    starts = np.asarray(starts)
+    if (starts.shape != (n,) or not np.issubdtype(starts.dtype, np.integer)
+            or not np.all((0 <= starts) & (starts < n))):
+        raise DomainError(f"starts must be {n} levels in [0, {n})")
+    if not 0 <= e0 < n:
         raise DomainError(f"initial state {e0} out of range")
-    levels = np.flatnonzero(within)
+    levels = np.flatnonzero(_reach(np.take(rows > _EDGE_EPS, starts, axis=0), e0))
+    p = _gather_block(rows, starts, levels)
     e0 = int(np.searchsorted(levels, e0))
-    support = p > _EDGE_EPS
-    reached = _reach(support, e0)
-    if not reached.all():
-        local = np.flatnonzero(reached)
-        p, support = p[np.ix_(local, local)], support[np.ix_(local, local)]
-        levels, e0 = levels[local], int(np.searchsorted(local, e0))
-    classes = _closed_classes(support)
+    classes = _closed_classes(p > _EDGE_EPS)
 
     home = [c for c in classes if e0 in c]
     if home or len(classes) == 1:
@@ -338,7 +319,7 @@ def exact_occupation(transition: np.ndarray, e0: int, within=None) -> np.ndarray
                                "ill-conditioned transient block")
         weights = [(c, max(w, 0.0) / total) for c, w in weights]
 
-    pi = np.zeros(len(within))
+    pi = np.zeros(n)
     for c, w in weights:
         a = p[np.ix_(c, c)].T - np.eye(len(c))
         a[-1, :] = 1.0
@@ -352,17 +333,11 @@ def exact_occupation(transition: np.ndarray, e0: int, within=None) -> np.ndarray
 
 def evaluate_policy(battery: BatteryModel, arrivals: ArrivalModel, cons: ConsumptionMap,
                     reward: RewardModel, policy: Policy, e0: int = 0) -> ChainAnalysis:
-    """Limiting occupation and average reward of a policy's chain from ``e0``.
-
-    No n x n transition matrix is formed: the levels reachable from e0 are
-    found on the chain's support, and only their block is solved.
-    """
-    if not 0 <= e0 <= battery.e_max:
-        raise DomainError(f"initial state {e0} out of range")
+    """Limiting occupation and average reward of a policy's chain from ``e0``,
+    by ``exact_occupation`` on the charge matrix; no n x n transition matrix
+    is formed."""
     starts, state_reward = _level_tables(cons, reward, policy, battery.e_max)
-    rows = charge_matrix(battery, arrivals)
-    reached = _reach(np.take(rows > _EDGE_EPS, starts, axis=0), e0)
-    pi = exact_occupation(_gather_block(rows, starts, np.flatnonzero(reached)), e0, reached)
+    pi = exact_occupation(charge_matrix(battery, arrivals), starts, e0)
     return ChainAnalysis(
         state_reward=state_reward,
         stationary=pi,

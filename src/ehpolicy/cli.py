@@ -29,7 +29,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in (
             ("solve", "optimal per-state policy (perfect charge knowledge)"),
-            ("search", "exhaustive per-subset policy search (coarse observation)"),
+            ("search", "per-subset policy search (coarse observation): exhaustive, "
+                       "or two-stage above search.refine_above subsets"),
             ("sweep", "evaluate policies and bounds over sweep axes"),
             ("simulate", "Monte Carlo cross-check of the analytic reward"),
             ("bound", "storage-aware throughput upper bound"),

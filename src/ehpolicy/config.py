@@ -42,6 +42,25 @@ def _check_int(name: str, value, lowest: int, optional: bool = False):
         raise ConfigurationError(f"{name} must be an integer >= {lowest}, got {value!r}")
 
 
+def _check_number(name: str, value, optional: bool = False):
+    """Raise ConfigurationError unless ``value`` is a real number (or None, if optional)."""
+    if optional and value is None:
+        return
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise ConfigurationError(f"{name} must be a number, got {value!r}")
+
+
+def _check_entries(name: str, values, check, *args):
+    """Raise ConfigurationError unless ``values`` is None or a list whose every
+    entry passes ``check(name, entry, *args)``."""
+    if values is None:
+        return
+    if not isinstance(values, list):
+        raise ConfigurationError(f"{name} must be a list, got {values!r}")
+    for value in values:
+        check(name, value, *args)
+
+
 def _take(d: dict, section: str, allowed: set):
     unknown = set(d) - allowed
     if unknown:
@@ -61,6 +80,11 @@ class BatteryConfig:
 
     def __post_init__(self):
         _check_int("battery.e_max", self.e_max, 1)
+        for name in ("beta_nl", "eta"):
+            _check_number(f"battery.{name}", getattr(self, name), optional=True)
+        for name in ("frame_length", "slot_length", "quantum_joules"):
+            _check_number(f"battery.{name}", getattr(self, name))
+        _check_entries("battery.values", self.values, _check_number)
 
     def build(self, e_max: int | None = None, ideal: bool = False) -> BatteryModel:
         if ideal:
@@ -94,6 +118,11 @@ class ArrivalConfig:
     b_max: int | None = 50
     pmf: list | None = None
 
+    def __post_init__(self):
+        _check_number("arrivals.mean", self.mean, optional=True)
+        _check_int("arrivals.b_max", self.b_max, 0, optional=True)
+        _check_entries("arrivals.pmf", self.pmf, _check_number)
+
     def build(self) -> ArrivalModel:
         if self.family == "explicit":
             if not self.pmf:
@@ -115,6 +144,10 @@ class RewardConfig:
     bandwidth: float | None = None
     noise_density: float | None = None
     channel_gain: float | None = None
+
+    def __post_init__(self):
+        for name in ("snr_scale", "bandwidth", "noise_density", "channel_gain"):
+            _check_number(f"reward.{name}", getattr(self, name), optional=True)
 
     def build(self, battery_cfg: BatteryConfig):
         if self.family == "log_snr":
@@ -169,6 +202,7 @@ class ActionConfig:
     def __post_init__(self):
         _check_int("actions.max_power", self.max_power, 0, optional=True)
         _check_int("actions.step", self.step, 1)
+        _check_entries("actions.values", self.values, _check_int, 0)
 
     def build(self, e_max: int, cons) -> ActionSet:
         if self.from_device or isinstance(cons, DeviceTableConsumption):
@@ -190,6 +224,7 @@ class PartitionConfig:
 
     def __post_init__(self):
         _check_int("partition.n_subsets", self.n_subsets, 1)
+        _check_entries("partition.boundaries", self.boundaries, _check_int, 0)
 
     def build(self, e_max: int, n_subsets: int | None = None) -> Partition:
         if self.boundaries is not None and n_subsets is None:
@@ -258,12 +293,7 @@ class ScenarioConfig:
         if self.policy_source not in _POLICY_SOURCES:
             raise ConfigurationError(
                 f"policy_source must be one of {_POLICY_SOURCES}, got {self.policy_source!r}")
-        if self.fixed_actions is not None:
-            if not isinstance(self.fixed_actions, list):
-                raise ConfigurationError(
-                    f"fixed_actions must be a list, got {self.fixed_actions!r}")
-            for value in self.fixed_actions:
-                _check_int("fixed_actions", value, 0)
+        _check_entries("fixed_actions", self.fixed_actions, _check_int, 0)
         if self.policy_source == "fixed":
             subsets = (self.partition.n_subsets if self.partition.boundaries is None
                        else len(self.partition.boundaries))

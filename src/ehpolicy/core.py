@@ -468,25 +468,11 @@ class ActionSet:
         return np.asarray(self.actions, dtype=np.int64)
 
 
-def attained_reward(reward: RewardModel, cons: ConsumptionMap, rho: int, e: int,
-                    actions: ActionSet | None = None) -> float:
-    """Reward earned in a frame: r(rho) on success, 0 if the battery cannot cover it."""
-    if actions is not None and rho not in actions:
-        raise DomainError(f"tx power {rho} not in action set")
-    if rho < 0:
-        raise DomainError("tx power must be nonnegative")
-    if rho == 0:
-        return 0.0
-    if cons.consumption(rho) <= e:
-        return float(reward.rate(rho))
-    return 0.0
-
-
 def _spend_tables(levels, dcons, rates):
-    """``attained_reward`` over broadcast arrays of levels, consumptions and
-    rates, with the level each frame charges from: ``(start, earned)``, where
-    start is the level after spending (0 if it cannot pay) and earned is the
-    rate if the level can pay, else 0."""
+    """The level each frame charges from and the reward it earns, over
+    broadcast arrays of levels, consumptions and rates: ``(start, earned)``,
+    where start is the level after spending (0 if it cannot pay) and earned
+    is the rate if the level can pay, else 0."""
     left = levels - dcons
     earned = np.where(left >= 0, rates, 0.0)
     return np.maximum(left, 0, out=left), earned

@@ -45,6 +45,7 @@ _START_SWEEPS = 10  # value-iteration sweeps whose greedy policy starts policy i
 _MAX_ITERATIONS = 500  # policy-iteration steps before a cycle is reported
 _KEEP_RTOL = 1e-10  # a state's action changes only if beaten by more, relative to max |Q|
 _MAX_BUDGET = 10 ** 8  # candidates per partition search at most; it holds 8 bytes a candidate
+_HALO = 3  # the two-stage search's second pass spans at least this tx power either side
 
 
 # ---------------------------------------------------------------------------
@@ -388,9 +389,8 @@ def _candidate_gains(battery: BatteryModel, arrivals: ArrivalModel, cons: Consum
 def _class_gain(rows, start_by_action, j_by_action, choice, e0) -> float:
     """Gain from e0, by the class route, when each level e takes action ``choice[e]``."""
     levels = np.arange(len(choice))
-    transition = rows[start_by_action[levels, choice]]
     # looked up at call time, so a rebinding of chain.exact_occupation is seen
-    occupation = chain.exact_occupation(transition, e0)
+    occupation = chain.exact_occupation(rows, start_by_action[levels, choice], e0)
     return float(occupation @ j_by_action[levels, choice])
 
 
@@ -481,16 +481,17 @@ def _censored_stationary(censored: np.ndarray, ok: np.ndarray, in_class: np.ndar
 
 
 def refine_partition_search(battery, arrivals, cons, reward, actions, partition,
-                            e0: int = 0, coarse_step: int = 4, halo: int = 3,
+                            e0: int = 0, coarse_step: int = 4,
                             budget: int = 10 ** 7) -> SearchResult:
-    """Two-stage exhaustive search: coarse action grid, then an exhaustive pass over
-    the union of neighborhoods of the coarse optimum. Keeps large-N searches
-    within the enumeration budget."""
+    """Two-stage heuristic search: an exhaustive pass over a coarse action grid,
+    then one over the union of neighborhoods of the coarse optimum. Keeps
+    large-N searches within the enumeration budget, but nothing guarantees
+    that it finds the exhaustive search's optimum."""
     acts = actions.as_array()
     coarse = ActionSet(actions=tuple(int(a) for a in acts[::coarse_step]))
     stage1 = search_partition_policy(
         battery, arrivals, cons, reward, coarse, partition, e0, budget)
-    radius = max(halo, coarse_step)
+    radius = max(_HALO, coarse_step)
     near = {0}
     for a in stage1.best_policy.actions:
         near.update(int(x) for x in acts[np.abs(acts - a) <= radius])

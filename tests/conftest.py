@@ -11,6 +11,10 @@
   lane's end.
 - ``rvi_reference``: relative value iteration on the half-lazy kernel; the
   library runs Howard policy iteration.
+- ``build_chain``: a policy's whole chain as a dense transition matrix; the
+  library gathers only the block reachable from ``e0``.
+- ``attained_reward``: the reward rule for one level and one power; the
+  library applies it to whole arrays at once.
 """
 
 import math
@@ -22,15 +26,35 @@ from ehpolicy.chain import (
     SimulationReport,
     StatePolicy,
     _check_stochastic,
+    _level_tables,
     charge_matrix,
     consumption_vector,
 )
-from ehpolicy.core import (
-    _efficiency_unchecked,
-    attained_reward,
-    next_state_table,
-)
+from ehpolicy.core import _efficiency_unchecked, next_state_table
 from ehpolicy.errors import ConvergenceError, DomainError
+
+
+def build_chain(battery, arrivals, cons, reward, policy):
+    """Dense transition matrix of a policy's whole chain, and its per-state
+    reward vector: row e is the charge row of the level e charges from.
+
+    Returns (transition, state_reward); rows of ``transition`` sum to 1.
+    """
+    starts, state_reward = _level_tables(cons, reward, policy, battery.e_max)
+    return charge_matrix(battery, arrivals)[starts], state_reward
+
+
+def attained_reward(reward, cons, rho, e, actions=None):
+    """Reward earned in a frame: r(rho) on success, 0 if the battery cannot cover it."""
+    if actions is not None and rho not in actions:
+        raise DomainError(f"tx power {rho} not in action set")
+    if rho < 0:
+        raise DomainError("tx power must be nonnegative")
+    if rho == 0:
+        return 0.0
+    if cons.consumption(rho) <= e:
+        return float(reward.rate(rho))
+    return 0.0
 
 
 def rk4_levels(battery, y0, b, steps):

@@ -11,6 +11,7 @@ import warnings
 
 import numpy as np
 import pytest
+from conftest import build_chain
 
 from ehpolicy import (
     ActionSet,
@@ -23,7 +24,6 @@ from ehpolicy import (
     QuadraticCapacitor,
     StatePolicy,
     battery_step,
-    build_chain,
     derive_bp,
     derive_lcp,
     evaluate_policy,
@@ -188,7 +188,7 @@ def test_criterion_7_oracles():
                                 policy).long_run_reward
         g_search = search_partition_policy(
             battery, arrivals, CONS, REWARD, acts,
-            Partition.singleton(battery.e_max)).best_reward
+            Partition(battery.e_max, tuple(range(battery.e_max + 1)))).best_reward
         assert g_search == pytest.approx(g_rvi, abs=1e-8)
 
     # (b) tiny chain vs brute force over all deterministic state policies

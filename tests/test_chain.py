@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import attained_reward, build_chain
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
@@ -17,9 +18,7 @@ from ehpolicy import (
     PartitionPolicy,
     QuadraticCapacitor,
     StatePolicy,
-    build_chain,
     evaluate_policy,
-    attained_reward,
     exact_occupation,
     get_preset,
     make_truncated_geometric,
@@ -28,7 +27,6 @@ from ehpolicy import (
     solve_perfect_soc,
 )
 from ehpolicy.chain import (
-    _EDGE_EPS,
     _MIN_LANE,
     _closed_classes,
     _level_tables,
@@ -183,7 +181,7 @@ class TestPartition:
             assert np.array_equal(np.sort(all_states), np.arange(101))
 
     def test_singleton_is_full_resolution(self):
-        part = Partition.singleton(5)
+        part = Partition(5, tuple(range(6)))
         assert part.n_subsets == 6
         assert np.array_equal(part.labels(), np.arange(6))
 
@@ -223,7 +221,7 @@ class TestBuildChain:
     def test_singleton_partition_equals_state_policy(self):
         rng = np.random.default_rng(4)
         acts = tuple(rng.integers(0, 50, size=101))
-        part = Partition.singleton(100)
+        part = Partition(100, tuple(range(101)))
         p1, r1 = build_chain(BASELINE, GEOM20, CONS, REWARD, StatePolicy(actions=acts))
         p2, r2 = build_chain(BASELINE, GEOM20, CONS, REWARD,
                              PartitionPolicy(partition=part, actions=acts))
@@ -302,7 +300,7 @@ class TestLongRunAverage:
             policy = StatePolicy(actions=tuple(rng.integers(0, 40, size=101)))
             transition, reward = build_chain(BASELINE, GEOM20, CONS, REWARD, policy)
             g_iter, pi_iter = power_iteration(transition, reward, 0)
-            pi_exact = exact_occupation(transition, 0)
+            pi_exact = exact_occupation(transition, np.arange(101), 0)
             assert pi_iter == pytest.approx(pi_exact, abs=1e-7)
             assert g_iter == pytest.approx(float(pi_exact @ reward), abs=1e-8)
 
@@ -313,7 +311,7 @@ class TestLongRunAverage:
             [0.0, 1.0, 0.0],
             [0.0, 0.0, 1.0],
         ])
-        pi = exact_occupation(transition, 0)
+        pi = exact_occupation(transition, np.arange(3), 0)
         assert pi == pytest.approx(np.array([0.0, 0.5, 0.5]))
 
     @pytest.mark.parametrize("e0", [-1, 101])
@@ -321,9 +319,15 @@ class TestLongRunAverage:
         policy = StatePolicy(actions=(0,) * 101)
         transition, _ = build_chain(BASELINE, GEOM20, CONS, REWARD, policy)
         with pytest.raises(DomainError):
-            exact_occupation(transition, e0)
+            exact_occupation(transition, np.arange(101), e0)
         with pytest.raises(DomainError):
             evaluate_policy(BASELINE, GEOM20, CONS, REWARD, policy, e0)
+        # starts of the wrong length, outside the levels or not levels at all
+        for starts in (np.arange(100), np.arange(102), np.full(101, e0), np.zeros(101) + 0.5):
+            with pytest.raises(DomainError):
+                exact_occupation(transition, starts, 0)
+        with pytest.raises(NumericError):
+            exact_occupation(transition[:, :100], np.arange(101), 0)
 
     def test_evaluation_equals_the_whole_chain(self):
         # evaluate_policy solves only the block reachable from e0: 7 to 101
@@ -336,14 +340,10 @@ class TestLongRunAverage:
         for policy in policies:
             transition, reward = build_chain(BASELINE, GEOM20, CONS, REWARD, policy)
             for e0 in (0, 37, 100):
-                pi = exact_occupation(transition, e0)
+                pi = exact_occupation(transition, np.arange(101), e0)
                 analysis = evaluate_policy(BASELINE, GEOM20, CONS, REWARD, policy, e0)
                 assert np.array_equal(analysis.stationary, pi)
                 assert analysis.long_run_reward == float(pi @ reward)
-                # the same block given to exact_occupation with its mask
-                reached = _reach(transition > _EDGE_EPS, e0)
-                block = transition[np.ix_(reached, reached)]
-                assert np.array_equal(exact_occupation(block, e0, reached), pi)
 
     def test_peak_memory_of_a_large_evaluation(self, large_policy):
         # no n x n transition matrix is formed; the charge matrix is cached
@@ -358,7 +358,7 @@ class TestLongRunAverage:
         rng = np.random.default_rng(seed)
         policy = StatePolicy(actions=tuple(rng.integers(0, 101, size=101)))
         transition, _ = build_chain(BASELINE, GEOM20, CONS, REWARD, policy)
-        pi = exact_occupation(transition, 0)
+        pi = exact_occupation(transition, np.arange(101), 0)
         assert pi @ transition == pytest.approx(pi, abs=1e-9)
         assert pi.sum() == pytest.approx(1.0)
         assert np.all(pi >= 0)

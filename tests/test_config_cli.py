@@ -333,7 +333,13 @@ class TestCli:
         (None, "policy_source", "fixed"), (None, "fixed_actions", [1.5, 2.9]),
         (None, "fixed_actions", [2, -1]), (None, "fixed_actions", ["abc"]),
         (None, "fixed_actions", [True]), (None, "fixed_actions", 3),
-        ("search", "budget", 10 ** 8 + 1), ("search", "budget", 10 ** 30)])
+        ("search", "budget", 10 ** 8 + 1), ("search", "budget", 10 ** 30),
+        ("arrivals", "mean", "x"), ("arrivals", "b_max", "abc"), ("arrivals", "b_max", 2.5),
+        ("arrivals", "pmf", ["a", "b"]), ("arrivals", "pmf", 0.5),
+        ("battery", "beta_nl", "x"), ("battery", "slot_length", "x"),
+        ("battery", "frame_length", True), ("battery", "values", ["x", 1]),
+        ("reward", "snr_scale", "x"), ("actions", "values", [0, "x"]),
+        ("actions", "values", [0, 2.5]), ("partition", "boundaries", [0, "x"])])
     def test_bad_numeric_field_fails_before_searching(self, tmp_path, capsys, monkeypatch,
                                                       section, key, bad):
         # a section of None is a top-level field

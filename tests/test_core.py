@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import attained_reward
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,7 +15,6 @@ from ehpolicy import (
     LogSnrReward,
     QuadraticCapacitor,
     TabulatedEfficiency,
-    attained_reward,
     battery_step,
     efficiency_at,
     integrate_frame,

@@ -1,4 +1,5 @@
-"""Every name a demo imports from ``ehpolicy`` exists; the demos themselves are not run."""
+"""Every name a demo imports from ``ehpolicy`` exists, and every name the package
+exports is used by the package or a demo; the demos themselves are not run."""
 
 import ast
 import importlib
@@ -6,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+PACKAGE = ROOT / "src" / "ehpolicy"
 
 
 def ehpolicy_imports(path):
@@ -30,3 +33,21 @@ def test_demo_imports_exist(path):
     missing = [f"{module}.{name}" for module, name in imports
                if not hasattr(importlib.import_module(module), name)]
     assert not missing, f"{path.name} imports names that do not exist: {missing}"
+
+
+def test_every_export_is_used():
+    # an export that only tests call is code kept alive by its tests: a use is
+    # a name or attribute read in another module of the package or in a demo,
+    # so neither its own definition nor a docstring counts
+    init = PACKAGE / "__init__.py"
+    exports = {alias.asname or alias.name
+               for node in ast.parse(init.read_text(encoding="utf-8")).body
+               if isinstance(node, ast.ImportFrom) for alias in node.names}
+    used = set()
+    for path in [*DEMOS, *sorted(set(PACKAGE.glob("*.py")) - {init})]:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert not exports - used, f"exported but never used: {sorted(exports - used)}"

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from conftest import build_chain
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from test_acceptance import random_scenario
@@ -36,7 +37,6 @@ from ehpolicy.chain import (
     StatePolicy,
     _closed_classes,
     _level_tables,
-    build_chain,
     charge_matrix,
     exact_occupation,
 )
@@ -261,8 +261,8 @@ class TestSolvePerfectSoc:
         policy = solve_perfect_soc(bat, arr, CONS, REWARD, acts)
         assert policy.actions == (0, 0, 0, 0, 4, 4)
         transition, _ = build_chain(bat, arr, CONS, REWARD, policy)
-        assert np.flatnonzero(exact_occupation(transition, 0)).tolist() == [0, 2, 4]
-        assert np.flatnonzero(exact_occupation(transition, 1)).tolist() == [1, 3, 5]
+        assert np.flatnonzero(exact_occupation(transition, np.arange(6), 0)).tolist() == [0, 2, 4]
+        assert np.flatnonzero(exact_occupation(transition, np.arange(6), 1)).tolist() == [1, 3, 5]
         want = brute_force_best_state_policy(bat, arr, CONS, REWARD, acts)
         got = evaluate_policy(bat, arr, CONS, REWARD, policy).long_run_reward
         assert got == pytest.approx(want, abs=1e-12)
@@ -466,7 +466,7 @@ class TestSearchPartitionPolicy:
         policy = solve_perfect_soc(bat, arr, CONS, REWARD, acts)
         g_rvi = evaluate_policy(bat, arr, CONS, REWARD, policy).long_run_reward
         result = search_partition_policy(bat, arr, CONS, REWARD, acts,
-                                         Partition.singleton(5))
+                                         Partition(5, tuple(range(6))))
         assert result.evaluated_count == 3 ** 6
         assert result.best_reward == pytest.approx(g_rvi, abs=1e-8)
 
@@ -527,7 +527,7 @@ class TestSearchPartitionPolicy:
     def test_single_action_searches_any_partition(self):
         # one candidate, whatever the number of subsets, even past NumPy's 64 axes
         result = search_partition_policy(BASELINE, GEOM20, CONS, REWARD, ActionSet((0,)),
-                                         Partition.singleton(100))
+                                         Partition(100, tuple(range(101))))
         assert result.best_policy.actions == (0,) * 101
         assert result.best_reward == 0.0
         assert result.evaluated_count == 1
@@ -622,9 +622,9 @@ class TestSearchPartitionPolicy:
         calls = []
         occupation = exact_occupation
 
-        def counted(transition, e0):
+        def counted(rows, starts, e0):
             calls.append(e0)
-            return occupation(transition, e0)
+            return occupation(rows, starts, e0)
 
         monkeypatch.setattr("ehpolicy.chain.exact_occupation", counted)
         result = search_partition_policy(
