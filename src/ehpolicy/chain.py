@@ -95,19 +95,65 @@ def _stack_closed_classes(support: np.ndarray):
     closed class, (c, k), and how many closed classes each chain has, (c,).
     """
     c, k, _ = support.shape
-    closure = support | np.eye(k, dtype=bool)
     packed = np.zeros((c, k, 8 * -(-k // 64)), dtype=np.uint8)
-    packed[..., :-(-k // 8)] = np.packbits(closure, axis=2, bitorder="little")
+    packed[..., :-(-k // 8)] = np.packbits(support | np.eye(k, dtype=bool), axis=2,
+                                           bitorder="little")
     reach = packed.view("<u8")  # bit m of row i: a path from i to m
     for m in range(k):
         word, bit = divmod(m, 64)
         through = (reach[:, :, word] >> np.uint64(bit)) & np.uint64(1)
         reach |= through[:, :, None] * reach[:, m, None, :]
     closure = np.unpackbits(packed, axis=2, count=k, bitorder="little").view(bool)
-    in_class = ~(closure & ~closure.transpose(0, 2, 1)).any(axis=2)
+    # formed in place, so that the stack peaks at one (c, k, k) temporary here
+    escapes = ~closure.transpose(0, 2, 1)
+    escapes &= closure  # a path i -> j without one j -> i
+    in_class = ~escapes.any(axis=2)
     # a closed class is counted at its lowest level, the first level it reaches
     lowest = in_class & (closure.argmax(axis=2) == np.arange(k))
     return in_class, lowest.sum(axis=1)
+
+
+# ---------------------------------------------------------------------------
+# Laws of stacked censored chains (the partition search)
+# ---------------------------------------------------------------------------
+
+def _censored_stationary(censored: np.ndarray, ok: np.ndarray, in_class: np.ndarray):
+    """Stationary laws of a stack of censored chains, and which of them to trust.
+
+    ``ok`` says which chains' supports have exactly one closed class, and
+    ``in_class`` which levels lie in it; ``ok`` is updated in place. A law is
+    trusted only if its chain has one closed class, the solve passes a
+    residual check and the law puts no mass outside that class: with two
+    closed classes the system is singular, and a mixture of the class laws
+    would pass the residual check alone, while a nearly closed transient set
+    makes it so ill-conditioned that a law on the transient states can pass
+    it too. An exactly singular chain is not trusted either.
+    """
+    c, k, _ = censored.shape
+    pi = np.zeros((c, k))
+    if not ok.any():
+        return pi, ok
+    a = censored[ok].transpose(0, 2, 1) - np.eye(k)
+    a[:, -1, :] = 1.0
+    rhs = np.zeros((len(a), k, 1))
+    rhs[:, -1] = 1.0
+    try:
+        sol = np.linalg.solve(a, rhs)[..., 0]
+    except np.linalg.LinAlgError:
+        # one by one, so that only an exactly singular chain fails, by its NaN law
+        sol = np.full((len(a), k), np.nan)
+        for i in range(len(a)):
+            try:
+                sol[i] = np.linalg.solve(a[i], rhs[i])[:, 0]
+            except np.linalg.LinAlgError:
+                pass
+    residual = np.abs(np.einsum("ck,ckj->cj", sol, censored[ok]) - sol).max(axis=1)
+    stray = np.where(in_class[ok], 0.0, np.abs(sol)).max(axis=1)
+    good = ((sol.min(axis=1) > -1e-10) & (np.abs(sol.sum(axis=1) - 1.0) < 1e-8)
+            & (residual < 1e-10) & (stray < 1e-10))
+    ok[ok] = good
+    pi[ok] = np.maximum(sol[good], 0.0)
+    return pi, ok
 
 
 # ---------------------------------------------------------------------------

@@ -342,12 +342,12 @@ def run_bound(cfg: ScenarioConfig, out_dir) -> list:
 
 
 def run_validate(cfg: ScenarioConfig):
-    """Config sanity plus the recharge-hypothesis check; returns (ok, messages)."""
+    """Config sanity plus the recharge-hypothesis check; returns (ok, messages).
+
+    A config that cannot build its models raises ``EHPolicyError``, as it
+    does for every other subcommand."""
     messages = []
-    try:
-        models = build_models(cfg)
-    except EHPolicyError as exc:
-        return False, [f"config error: {exc}"]
+    models = build_models(cfg)
     ok, violators = validate_recharge_hypothesis(models.battery, models.arrivals)
     if ok:
         messages.append("recharge hypothesis holds: every non-full state stores "

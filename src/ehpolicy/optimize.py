@@ -13,6 +13,7 @@ from .chain import (
     Partition,
     PartitionPolicy,
     StatePolicy,
+    _censored_stationary,
     _closed_classes,
     _gather_block,
     _reach,
@@ -41,6 +42,7 @@ from .errors import (
 # entries per stacked temporary in the censored-chain solves, and per block
 # of policy iteration's (state, action) tables
 _STACK_ENTRIES = 1 << 14
+_GROUP_BYTES = 1 << 19  # folds and censored supports of a group of last-depth prefixes
 _START_SWEEPS = 10  # value-iteration sweeps whose greedy policy starts policy iteration
 _MAX_ITERATIONS = 500  # policy-iteration steps before a cycle is reported
 _KEEP_RTOL = 1e-10  # a state's action changes only if beaten by more, relative to max |Q|
@@ -351,18 +353,32 @@ def _candidate_gains(battery: BatteryModel, arrivals: ArrivalModel, cons: Consum
     class route, ``chain.exact_occupation``.
 
     At the last depth the levels split into E, every subset but the last,
-    and K, the last subset. The prefix of actions on E is eliminated once,
-    and every last action is then scored on the censored chain on K (the
-    stochastic complement) by the renewal-reward theorem. Candidates whose
-    gain the complement cannot give (some E state never reaches K, or the
-    censored chain is not unichain) take the class route.
+    and K, the last subset. If some E state never reaches K, every last
+    action takes the class route. Otherwise E is eliminated once, folded
+    into every charge row, and the prefix is queued; ``_score_group``
+    scores the queue whenever it holds as many prefixes as fit in
+    ``_GROUP_BYTES`` (one at least), and at the end of the walk.
     """
     n_subsets = partition.n_subsets
     rows = charge_matrix(battery, arrivals)
-    states = np.arange(battery.e_max + 1)
+    n = battery.e_max + 1
+    states = np.arange(n)
     start_by_action, j_by_action = _action_tables(battery, cons, reward, actions)
     labels = partition.labels()
-    gains = np.empty((len(actions),) * n_subsets)
+    n_acts = len(actions)
+    gains = np.empty((n_acts,) * n_subsets)
+    nk = n - partition.starts[-1]
+    # bytes per queued prefix: its fold and its |A| censored supports
+    group = max(1, _GROUP_BYTES // (8 * n * (nk + 2) + n_acts * nk * nk))
+    queued = []  # (prefix, actions on E, fold)
+
+    def score_queue():
+        prefixes, choices, folds = zip(*queued)
+        queued.clear()
+        folds = np.stack(folds)  # frees the per-prefix folds
+        scored = _score_group(rows, start_by_action, j_by_action, folds, choices, e0)
+        for prefix, row in zip(prefixes, scored):
+            gains[prefix] = row
 
     def fill(prefix):
         depth = len(prefix)
@@ -373,70 +389,74 @@ def _candidate_gains(battery: BatteryModel, arrivals: ArrivalModel, cons: Consum
             reach = _reaches_last_subset(p_e > _EDGE_EPS, k)
         if e0 < k and not reach[e0]:
             # the chain from e0 never climbs to level k: one gain for the whole subtree
-            choice = np.asarray(prefix + (0,) * (n_subsets - depth), dtype=np.int64)
-            gains[prefix] = _class_gain(rows, start_by_action, j_by_action, choice[labels], e0)
+            gains[prefix] = _class_gain(rows, start_by_action, j_by_action, choice_e, 0, e0)
         elif depth < n_subsets - 1:
-            for a in range(len(actions)):
+            for a in range(n_acts):
                 fill(prefix + (a,))
+        elif not reach.all():
+            # E holds a closed class, so I - P_EE is singular
+            gains[prefix] = [_class_gain(rows, start_by_action, j_by_action, choice_e, a, e0)
+                             for a in range(n_acts)]
         else:
-            gains[prefix] = _last_subset_gains(rows, start_by_action, j_by_action,
-                                               choice_e, p_e, reach, e0)
+            # eliminate E: (I - P_EE)[Y | u | t] = [P_EK | r_E | 1], folded into every
+            # charge row, gives its law on K and the reward and frames spent in E
+            w = np.linalg.solve(np.eye(k) - p_e[:, :k], np.column_stack(
+                [p_e[:, k:], j_by_action[states[:k], choice_e], np.ones(k)]))
+            fold = rows[:, :k] @ w
+            fold[:, :nk] += rows[:, k:]
+            queued.append((prefix, choice_e, fold))
+            if len(queued) == group:
+                score_queue()
 
     fill(())
+    if queued:
+        score_queue()
     return gains
 
 
-def _class_gain(rows, start_by_action, j_by_action, choice, e0) -> float:
-    """Gain from e0, by the class route, when each level e takes action ``choice[e]``."""
-    levels = np.arange(len(choice))
+def _class_gain(rows, start_by_action, j_by_action, choice_e, a, e0) -> float:
+    """Gain from e0, by the class route, when each level e below len(choice_e)
+    takes action ``choice_e[e]`` and every level above takes action ``a``."""
+    levels = np.arange(len(rows))
+    choice = np.concatenate([choice_e, np.full(len(rows) - len(choice_e), a, dtype=np.int64)])
     # looked up at call time, so a rebinding of chain.exact_occupation is seen
     occupation = chain.exact_occupation(rows, start_by_action[levels, choice], e0)
     return float(occupation @ j_by_action[levels, choice])
 
 
-def _last_subset_gains(rows, start_by_action, j_by_action, choice_e, p_e, reach,
-                       e0) -> np.ndarray:
-    """Gain from e0 of every last-subset action, given the actions ``choice_e`` on E.
+def _score_group(rows, start_by_action, j_by_action, folds, choices, e0) -> np.ndarray:
+    """Gain from e0 of every last action of a group of prefixes, (G, |A|).
 
-    E holds the levels below k0 = len(choice_e); K holds the rest. ``p_e``
-    holds the rows of E and ``reach`` says which E states can reach K.
+    Prefix g takes actions ``choices[g]`` on E, and ``folds[g]`` is its fold.
+    The closed classes of all G·|A| censored chains are found at once, and
+    their laws are solved and checked in chunks of ``_STACK_ENTRIES``
+    entries. A chain whose law is not trusted takes the class route.
     """
-    n, n_acts = start_by_action.shape
-    k0 = len(choice_e)
-    nk = n - k0
-
-    def class_route(a):
-        choice = np.concatenate([choice_e, np.full(nk, a, dtype=np.int64)])
-        return _class_gain(rows, start_by_action, j_by_action, choice, e0)
-
-    if not reach.all():
-        # E holds a closed class, so I - P_EE is singular
-        return np.array([class_route(a) for a in range(n_acts)])
-
-    # eliminate E once: (I - P_EE)[Y | u | t] = [P_EK | r_E | 1], folded into every charge row
-    r_e = j_by_action[np.arange(k0), choice_e]
-    w = np.linalg.solve(np.eye(k0) - p_e[:, :k0],
-                        np.column_stack([p_e[:, k0:], r_e, np.ones(k0)]))
-    folded = rows[:, :k0] @ w
-    folded[:, :nk] += rows[:, k0:]
-    m, mu, tau = folded[:, :nk], folded[:, nk], folded[:, nk + 1]
-
-    s_k = start_by_action[k0:].T  # (action, K state): start level after spending
-    r_k = j_by_action[k0:].T
-    in_class, n_classes = _stack_closed_classes((m > _EDGE_EPS)[s_k])
-    gains = np.empty(n_acts)
+    n_groups, n, width = folds.shape
+    nk = width - 2
+    n_acts = start_by_action.shape[1]
+    m, mu, tau = folds[..., :nk], folds[..., nk], folds[..., nk + 1]
+    # chain c is prefix which[c] with last action act[c]; K charges from starts[c]
+    which, act = np.divmod(np.arange(n_groups * n_acts), n_acts)
+    starts = start_by_action[n - nk:].T[act]
+    r_k = j_by_action[n - nk:].T
+    in_class, n_classes = _stack_closed_classes((m > _EDGE_EPS)[which[:, None], starts])
     ok = n_classes == 1
+    gains = np.empty(n_groups * n_acts)
     batch = max(1, _STACK_ENTRIES // (nk * nk))
-    for lo in range(0, n_acts, batch):
+    for lo in range(0, len(gains), batch):
         chunk = slice(lo, lo + batch)
-        starts = s_k[chunk]
-        pi, ok[chunk] = _censored_stationary(m[starts], ok[chunk], in_class[chunk])
-        num = np.einsum("ck,ck->c", pi, r_k[chunk] + mu[starts])
-        den = np.einsum("ck,ck->c", pi, 1.0 + tau[starts])
-        np.divide(num, den, out=gains[chunk], where=ok[chunk])
-    for a in np.flatnonzero(~ok):
-        gains[a] = class_route(a)
-    return gains
+        g, at = which[chunk, None], starts[chunk]
+        pi, ok[chunk] = _censored_stationary(m[g, at], ok[chunk], in_class[chunk])
+        reward = mu[g, at]
+        reward += r_k[act[chunk]]
+        frames = tau[g, at]
+        frames += 1.0
+        np.divide(np.einsum("ck,ck->c", pi, reward), np.einsum("ck,ck->c", pi, frames),
+                  out=gains[chunk], where=ok[chunk])
+    for i in np.flatnonzero(~ok):
+        gains[i] = _class_gain(rows, start_by_action, j_by_action, choices[which[i]], act[i], e0)
+    return gains.reshape(n_groups, n_acts)
 
 
 def _reaches_last_subset(support_e: np.ndarray, k0: int) -> np.ndarray:
@@ -444,40 +464,6 @@ def _reaches_last_subset(support_e: np.ndarray, k0: int) -> np.ndarray:
     their rows (levels below k0 x all levels)."""
     # backward from the levels that step up to k0 or above directly
     return _reach(np.ascontiguousarray(support_e[:, :k0].T), support_e[:, k0:].any(axis=1))
-
-
-def _censored_stationary(censored: np.ndarray, ok: np.ndarray, in_class: np.ndarray):
-    """Stationary laws of a stack of censored chains, and which of them to trust.
-
-    ``ok`` says which chains' supports have exactly one closed class, and
-    ``in_class`` which levels lie in it; ``ok`` is updated in place. A law is
-    trusted only if its chain has one closed class, the solve passes a
-    residual check and the law puts no mass outside that class: with two
-    closed classes the system is singular, and a mixture of the class laws
-    would pass the residual check alone, while a nearly closed transient set
-    makes it so ill-conditioned that a law on the transient states can pass
-    it too.
-    """
-    c, k, _ = censored.shape
-    pi = np.zeros((c, k))
-    if not ok.any():
-        return pi, ok
-    a = censored[ok].transpose(0, 2, 1) - np.eye(k)
-    a[:, -1, :] = 1.0
-    rhs = np.zeros((len(a), k, 1))
-    rhs[:, -1] = 1.0
-    try:
-        sol = np.linalg.solve(a, rhs)[..., 0]
-    except np.linalg.LinAlgError:
-        # an exactly singular system: the whole batch takes the class route
-        return pi, np.zeros(c, dtype=bool)
-    residual = np.abs(np.einsum("ck,ckj->cj", sol, censored[ok]) - sol).max(axis=1)
-    stray = np.where(in_class[ok], 0.0, np.abs(sol)).max(axis=1)
-    good = ((sol.min(axis=1) > -1e-10) & (np.abs(sol.sum(axis=1) - 1.0) < 1e-8)
-            & (residual < 1e-10) & (stray < 1e-10))
-    ok[ok] = good
-    pi[ok] = np.maximum(sol[good], 0.0)
-    return pi, ok
 
 
 def refine_partition_search(battery, arrivals, cons, reward, actions, partition,

@@ -15,6 +15,9 @@
   library gathers only the block reachable from ``e0``.
 - ``attained_reward``: the reward rule for one level and one power; the
   library applies it to whole arrays at once.
+- ``gth_gain``: Grassmann-Taksar-Heyman elimination on the closed class
+  reached from ``e0``, which subtracts nothing; the library solves its
+  laws by LU, which loses the tiny leaks of nearly decomposable chains.
 """
 
 import math
@@ -55,6 +58,40 @@ def attained_reward(reward, cons, rho, e, actions=None):
     if cons.consumption(rho) <= e:
         return float(reward.rate(rho))
     return 0.0
+
+
+def gth_gain(transition, state_reward, e0):
+    """Gain from ``e0`` by Grassmann-Taksar-Heyman elimination (*Oper. Res.*
+    33(5), 1985) on the one closed class that ``e0`` reaches.
+
+    Every positive entry is an edge. Eliminating from the top level down,
+    each pivot is the row's remaining mass to the levels below it, so
+    nothing is subtracted and a leak of 1e-200 between two nearly closed
+    halves keeps its digits. Raises unless ``e0`` reaches exactly one
+    closed class.
+    """
+    p = _check_stochastic(transition)
+    n = len(p)
+    if not 0 <= e0 < n:
+        raise DomainError(f"initial state {e0} out of range")
+    # transitive closure by squaring: paths of up to 2^n.bit_length() >= n steps
+    reach = (p > 0) | np.eye(n, dtype=bool)
+    for _ in range(n.bit_length()):
+        reach = (reach.astype(np.int64) @ reach.astype(np.int64)) > 0
+    # a level is in a closed class iff every level it reaches reaches it back
+    levels = np.flatnonzero(reach[e0] & (reach <= reach.T).all(axis=1))
+    if not reach[np.ix_(levels, levels)].all():
+        raise DomainError(f"level {e0} reaches more than one closed class")
+    a = p[np.ix_(levels, levels)].copy()
+    for k in range(len(a) - 1, 0, -1):
+        a[:k, k] /= a[k, :k].sum()
+        a[:k, :k] += np.outer(a[:k, k], a[k, :k])
+    pi = np.zeros(len(a))
+    pi[0] = 1.0
+    for k in range(1, len(a)):
+        pi[k] = pi[:k] @ a[:k, k]
+    pi /= pi.sum()
+    return float(pi @ np.asarray(state_reward, dtype=float)[levels])
 
 
 def rk4_levels(battery, y0, b, steps):

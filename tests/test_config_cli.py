@@ -176,6 +176,21 @@ class TestCli:
             "  family: explicit\n  pmf: [1.0]"), encoding="utf-8")
         assert main(["validate", "--config", str(bad)]) == 1
 
+    @pytest.mark.parametrize("preset,message", [
+        ("fig5", "consumption.band required for device tables"),
+        (None, "mean must be in"),  # a geometric mean at b_max
+    ])
+    def test_validate_config_error_exit_code(self, tmp_path, capsys, preset, message):
+        # models the config cannot build fail as under every other subcommand:
+        # exit code 2 with the message on stderr, not the recharge check's 1
+        path = tmp_path / "bad.yaml"
+        path.write_text(SMALL_YAML.replace("mean: 5.0", "mean: 12.0"), encoding="utf-8")
+        flags = ["--preset", preset] if preset else ["--config", str(path)]
+        assert main(["validate", *flags]) == 2
+        err = capsys.readouterr()
+        assert message in err.err
+        assert err.out == ""
+
     @pytest.mark.parametrize("section,bad", [
         ("battery", 5), ("sweep", 3), ("battery", None), ("search", [1, 2])])
     def test_section_that_is_not_a_mapping(self, tmp_path, capsys, section, bad):

@@ -7,8 +7,9 @@ diff their outputs.
 runs on both trees with `--threads 1` at seeds 1 and 3, in a fresh
 interpreter with BLAS, OpenMP and MKL on one thread. Every CSV and
 `run_manifest.txt` they write is compared; the `wall_time_s` column is
-ignored. The script prints each run's peak RSS on both trees, then each
-difference, and exits 1 if there is any, 0 if the outputs are identical.
+ignored. The script prints each run's peak RSS and wall time on both
+trees, then each difference, and exits 1 if there is any, 0 if the outputs
+are identical.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -40,26 +42,29 @@ ONE_THREAD = {name: "1" for name in
 
 def run_all(tree: Path, out: Path) -> dict:
     """Run every command at every seed on ``tree``, each into its own directory
-    of ``out``; returns each run's peak RSS in MiB, keyed by that directory's name."""
+    of ``out``; returns each run's peak RSS in MiB and wall time in seconds,
+    keyed by that directory's name."""
     env = {**os.environ, **ONE_THREAD, "PYTHONPATH": str(tree / "src")}
-    peaks = {}
+    usages = {}
     for command in COMMANDS:
         for seed in SEEDS:
             name = f"{'_'.join(command).replace('/', '_')}_seed{seed}"
             argv = [sys.executable, "-m", "ehpolicy.cli", *command, "--out", str(out / name),
                     "--seed", str(seed), "--threads", "1"]
             with tempfile.TemporaryFile() as err:
+                started = time.perf_counter()
                 child = subprocess.Popen(argv, cwd=tree, env=env, stdout=subprocess.DEVNULL,
                                          stderr=err)
                 # wait4 reaps the child and returns the resource usage of that child alone
                 _, status, usage = os.wait4(child.pid, 0)
+                wall = time.perf_counter() - started
                 child.returncode = os.waitstatus_to_exitcode(status)
                 if child.returncode:
                     err.seek(0)
                     raise SystemExit(f"{' '.join(argv)} failed in {tree}:\n"
                                      f"{err.read().decode(errors='replace')}")
-            peaks[name] = usage.ru_maxrss / 1024  # ru_maxrss is in KiB on Linux
-    return peaks
+            usages[name] = (usage.ru_maxrss / 1024, wall)  # ru_maxrss is in KiB on Linux
+    return usages
 
 
 def read_csv(path: Path) -> list:
@@ -106,15 +111,16 @@ def main(argv=None) -> int:
         subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--detach", "--quiet",
                         str(checkout), args.rev], check=True)
         try:
-            peaks_rev = run_all(checkout, out / "rev")
-            peaks_tree = run_all(ROOT, out / "tree")
+            usage_rev = run_all(checkout, out / "rev")
+            usage_tree = run_all(ROOT, out / "tree")
         finally:
             subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force",
                             str(checkout)], check=True)
         found = differences(out / "rev", out / "tree")
-    print(f"peak RSS in MiB: {args.rev} -> this tree")
-    for name, peak in peaks_rev.items():
-        print(f"  {name}: {peak:.1f} -> {peaks_tree[name]:.1f}")
+    print(f"peak RSS and wall time: {args.rev} -> this tree")
+    for name, (peak, wall) in usage_rev.items():
+        peak_tree, wall_tree = usage_tree[name]
+        print(f"  {name}: {peak:.1f} -> {peak_tree:.1f} MiB, {wall:.2f} -> {wall_tree:.2f} s")
     for line in found:
         print(line)
     runs = len(COMMANDS) * len(SEEDS)
