@@ -114,46 +114,32 @@ def _stack_closed_classes(support: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# Laws of stacked censored chains (the partition search)
+# Stationary laws
 # ---------------------------------------------------------------------------
 
-def _censored_stationary(censored: np.ndarray, ok: np.ndarray, in_class: np.ndarray):
-    """Stationary laws of a stack of censored chains, and which of them to trust.
+def _stationary_laws(p: np.ndarray) -> np.ndarray:
+    """Stationary law of each chain of a stack (..., k, k): the solution of
+    pi P = pi with its last equation replaced by sum(pi) = 1.
 
-    ``ok`` says which chains' supports have exactly one closed class, and
-    ``in_class`` which levels lie in it; ``ok`` is updated in place. A law is
-    trusted only if its chain has one closed class, the solve passes a
-    residual check and the law puts no mass outside that class: with two
-    closed classes the system is singular, and a mixture of the class laws
-    would pass the residual check alone, while a nearly closed transient set
-    makes it so ill-conditioned that a law on the transient states can pass
-    it too. An exactly singular chain is not trusted either.
+    The system is regular iff the chain has one closed class; no check is
+    made here. An exactly singular chain gets a NaN law, and only that one.
     """
-    c, k, _ = censored.shape
-    pi = np.zeros((c, k))
-    if not ok.any():
-        return pi, ok
-    a = censored[ok].transpose(0, 2, 1) - np.eye(k)
-    a[:, -1, :] = 1.0
-    rhs = np.zeros((len(a), k, 1))
-    rhs[:, -1] = 1.0
+    k = p.shape[-1]
+    a = np.swapaxes(p, -1, -2) - np.eye(k)
+    a[..., -1, :] = 1.0
+    rhs = np.zeros((k, 1))
+    rhs[-1] = 1.0
     try:
-        sol = np.linalg.solve(a, rhs)[..., 0]
+        return np.linalg.solve(a, np.broadcast_to(rhs, a.shape[:-1] + (1,)))[..., 0]
     except np.linalg.LinAlgError:
         # one by one, so that only an exactly singular chain fails, by its NaN law
-        sol = np.full((len(a), k), np.nan)
-        for i in range(len(a)):
+        laws = np.full(a.shape[:-1], np.nan)
+        for at in np.ndindex(a.shape[:-2]):
             try:
-                sol[i] = np.linalg.solve(a[i], rhs[i])[:, 0]
+                laws[at] = np.linalg.solve(a[at], rhs)[:, 0]
             except np.linalg.LinAlgError:
                 pass
-    residual = np.abs(np.einsum("ck,ckj->cj", sol, censored[ok]) - sol).max(axis=1)
-    stray = np.where(in_class[ok], 0.0, np.abs(sol)).max(axis=1)
-    good = ((sol.min(axis=1) > -1e-10) & (np.abs(sol.sum(axis=1) - 1.0) < 1e-8)
-            & (residual < 1e-10) & (stray < 1e-10))
-    ok[ok] = good
-    pi[ok] = np.maximum(sol[good], 0.0)
-    return pi, ok
+        return laws
 
 
 # ---------------------------------------------------------------------------
@@ -367,11 +353,9 @@ def exact_occupation(rows: np.ndarray, starts, e0: int) -> np.ndarray:
 
     pi = np.zeros(n)
     for c, w in weights:
-        a = p[np.ix_(c, c)].T - np.eye(len(c))
-        a[-1, :] = 1.0
-        rhs = np.zeros(len(c))
-        rhs[-1] = 1.0
-        pi[levels[c]] += w * np.linalg.solve(a, rhs)
+        pi[levels[c]] += w * _stationary_laws(p[np.ix_(c, c)])
+    if np.isnan(pi).any():
+        raise NumericError("stationary solve failed: a closed class is exactly singular")
     pi = np.maximum(pi, 0.0)
     pi /= pi.sum()
     return pi

@@ -197,7 +197,6 @@ class ActionConfig:
     values: list | None = None       # explicit tx powers
     max_power: int | None = None     # or a 0..max_power range
     step: int = 1
-    from_device: bool = False        # take tx levels from the device table
 
     def __post_init__(self):
         _check_int("actions.max_power", self.max_power, 0, optional=True)
@@ -205,9 +204,8 @@ class ActionConfig:
         _check_entries("actions.values", self.values, _check_int, 0)
 
     def build(self, e_max: int, cons) -> ActionSet:
-        if self.from_device or isinstance(cons, DeviceTableConsumption):
-            if not isinstance(cons, DeviceTableConsumption):
-                raise ConfigurationError("actions.from_device needs a device table")
+        if isinstance(cons, DeviceTableConsumption):
+            # a device table fixes the tx levels
             return ActionSet(actions=(0,) + tuple(t for t, _ in cons.rows if t >= 1))
         if self.values is not None:
             acts = sorted(set(int(a) for a in self.values) | {0})
@@ -253,7 +251,6 @@ class SweepConfig:
 class SearchConfig:
     budget: int = 10 ** 7
     refine_above: int | None = None  # two-stage search for partitions larger than this
-    coarse_step: int = 4
 
     def __post_init__(self):
         _check_int("search.budget", self.budget, 1)
@@ -261,7 +258,6 @@ class SearchConfig:
             raise ConfigurationError(
                 f"search.budget must be at most {_MAX_BUDGET}, got {self.budget}")
         _check_int("search.refine_above", self.refine_above, 0, optional=True)
-        _check_int("search.coarse_step", self.coarse_step, 1)
 
 
 @dataclass

@@ -141,8 +141,7 @@ def _run_search(cfg: ScenarioConfig, models: BuiltScenario, partition: Partition
     m, search = models, cfg.search
     args = (m.battery, m.arrivals, m.cons, m.reward, m.actions, partition)
     if search.refine_above is not None and partition.n_subsets > search.refine_above:
-        return refine_partition_search(*args, coarse_step=search.coarse_step,
-                                       budget=search.budget)
+        return refine_partition_search(*args, budget=search.budget)
     return search_partition_policy(*args, budget=search.budget)
 
 

@@ -13,11 +13,11 @@ from .chain import (
     Partition,
     PartitionPolicy,
     StatePolicy,
-    _censored_stationary,
     _closed_classes,
     _gather_block,
     _reach,
     _stack_closed_classes,
+    _stationary_laws,
     charge_matrix,
     consumption_vector,
 )
@@ -47,7 +47,7 @@ _START_SWEEPS = 10  # value-iteration sweeps whose greedy policy starts policy i
 _MAX_ITERATIONS = 500  # policy-iteration steps before a cycle is reported
 _KEEP_RTOL = 1e-10  # a state's action changes only if beaten by more, relative to max |Q|
 _MAX_BUDGET = 10 ** 8  # candidates per partition search at most; it holds 8 bytes a candidate
-_HALO = 3  # the two-stage search's second pass spans at least this tx power either side
+_COARSE_STEP = 4  # the two-stage search's first pass takes every this many actions
 
 
 # ---------------------------------------------------------------------------
@@ -441,20 +441,23 @@ def _score_group(rows, start_by_action, j_by_action, folds, choices, e0) -> np.n
     starts = start_by_action[n - nk:].T[act]
     r_k = j_by_action[n - nk:].T
     in_class, n_classes = _stack_closed_classes((m > _EDGE_EPS)[which[:, None], starts])
-    ok = n_classes == 1
-    gains = np.empty(n_groups * n_acts)
+    gains = np.full(n_groups * n_acts, np.nan)  # NaN until a trusted law scores the chain
     batch = max(1, _STACK_ENTRIES // (nk * nk))
     for lo in range(0, len(gains), batch):
-        chunk = slice(lo, lo + batch)
-        g, at = which[chunk, None], starts[chunk]
-        pi, ok[chunk] = _censored_stationary(m[g, at], ok[chunk], in_class[chunk])
-        reward = mu[g, at]
-        reward += r_k[act[chunk]]
-        frames = tau[g, at]
-        frames += 1.0
-        np.divide(np.einsum("ck,ck->c", pi, reward), np.einsum("ck,ck->c", pi, frames),
-                  out=gains[chunk], where=ok[chunk])
-    for i in np.flatnonzero(~ok):
+        c = lo + np.flatnonzero(n_classes[lo:lo + batch] == 1)
+        censored = m[which[c, None], starts[c]]  # gathered once
+        pi = _stationary_laws(censored)
+        # trusted if it sums to 1, is not negative, solves its chain and puts no mass
+        # off the closed class (a law on a nearly closed transient set passes the rest)
+        residual = np.abs(np.einsum("ck,ckj->cj", pi, censored) - pi).max(axis=1)
+        stray = np.where(in_class[c], 0.0, np.abs(pi)).max(axis=1)
+        good = ((pi.min(axis=1) > -1e-10) & (np.abs(pi.sum(axis=1) - 1.0) < 1e-8)
+                & (residual < 1e-10) & (stray < 1e-10))
+        c, pi = c[good], np.maximum(pi[good], 0.0)
+        g, at = which[c, None], starts[c]
+        gains[c] = (np.einsum("ck,ck->c", pi, mu[g, at] + r_k[act[c]])
+                    / np.einsum("ck,ck->c", pi, tau[g, at] + 1.0))
+    for i in np.flatnonzero(np.isnan(gains)):
         gains[i] = _class_gain(rows, start_by_action, j_by_action, choices[which[i]], act[i], e0)
     return gains.reshape(n_groups, n_acts)
 
@@ -467,20 +470,19 @@ def _reaches_last_subset(support_e: np.ndarray, k0: int) -> np.ndarray:
 
 
 def refine_partition_search(battery, arrivals, cons, reward, actions, partition,
-                            e0: int = 0, coarse_step: int = 4,
-                            budget: int = 10 ** 7) -> SearchResult:
-    """Two-stage heuristic search: an exhaustive pass over a coarse action grid,
-    then one over the union of neighborhoods of the coarse optimum. Keeps
+                            e0: int = 0, budget: int = 10 ** 7) -> SearchResult:
+    """Two-stage heuristic search: an exhaustive pass over every
+    ``_COARSE_STEP``-th action, then one over the actions within
+    ``_COARSE_STEP`` of the coarse optimum's, and 0. Keeps
     large-N searches within the enumeration budget, but nothing guarantees
     that it finds the exhaustive search's optimum."""
     acts = actions.as_array()
-    coarse = ActionSet(actions=tuple(int(a) for a in acts[::coarse_step]))
+    coarse = ActionSet(actions=tuple(int(a) for a in acts[::_COARSE_STEP]))
     stage1 = search_partition_policy(
         battery, arrivals, cons, reward, coarse, partition, e0, budget)
-    radius = max(_HALO, coarse_step)
     near = {0}
     for a in stage1.best_policy.actions:
-        near.update(int(x) for x in acts[np.abs(acts - a) <= radius])
+        near.update(int(x) for x in acts[np.abs(acts - a) <= _COARSE_STEP])
     refined = ActionSet(actions=tuple(sorted(near)))
     stage2 = search_partition_policy(
         battery, arrivals, cons, reward, refined, partition, e0, budget)

@@ -83,7 +83,7 @@ def _fig3() -> ScenarioConfig:
     cfg = _baseline()
     cfg.scenario = "fig3"
     cfg.sweep = SweepConfig(n_subsets=[1, 2, 3])
-    cfg.search = SearchConfig(refine_above=2, coarse_step=4)
+    cfg.search = SearchConfig(refine_above=2)
     return cfg
 
 
@@ -106,7 +106,6 @@ def _fig5() -> ScenarioConfig:
             family="shannon", snr_scale=None,
             bandwidth=2e6, noise_density=10 ** (-20.4), channel_gain=3e-13),
         consumption=ConsumptionConfig(kind="device"),
-        actions=ActionConfig(from_device=True),
         partition=PartitionConfig(n_subsets=2),
         policy_source="search",
         seed=20260823,

@@ -314,6 +314,14 @@ class TestLongRunAverage:
         pi = exact_occupation(transition, np.arange(3), 0)
         assert pi == pytest.approx(np.array([0.0, 0.5, 0.5]))
 
+    def test_exactly_singular_class_law_raises(self, monkeypatch):
+        # the stationary-law kernel marks an exactly singular solve by a NaN law,
+        # which is reported, not returned as an occupation
+        monkeypatch.setattr("ehpolicy.chain._stationary_laws",
+                            lambda p: np.full(len(p), np.nan))
+        with pytest.raises(NumericError, match="exactly singular"):
+            exact_occupation(np.eye(3), np.arange(3), 0)
+
     @pytest.mark.parametrize("e0", [-1, 101])
     def test_rejects_start_outside_battery(self, e0):
         policy = StatePolicy(actions=(0,) * 101)

@@ -79,6 +79,20 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             ScenarioConfig.from_dict({"battery": {"e_max": 10, "integration_steps": 256}})
 
+    @pytest.mark.parametrize("section,key,value", [("actions", "from_device", True),
+                                                   ("search", "coarse_step", 4)])
+    def test_removed_keys_are_unknown(self, tmp_path, capsys, section, key, value):
+        # a device table fixes the tx levels by itself, and the two-stage search's
+        # coarse step is a constant, so a config that still sets either key fails
+        with pytest.raises(ConfigurationError, match=rf"{section}: unknown keys \['{key}'\]"):
+            ScenarioConfig.from_dict({section: {key: value}})
+        data = yaml.safe_load(SMALL_YAML)
+        data.setdefault(section, {})[key] = value
+        path = tmp_path / "old.yaml"
+        path.write_text(yaml.safe_dump(data), encoding="utf-8")
+        assert main(["validate", "--config", str(path)]) == 2
+        assert key in capsys.readouterr().err
+
     def test_bad_policy_source(self):
         with pytest.raises(ConfigurationError):
             ScenarioConfig.from_dict({"policy_source": "magic"})
@@ -341,7 +355,7 @@ class TestCli:
         ("partition", "n_subsets", 1.5), ("partition", "n_subsets", 0),
         ("search", "budget", "abc"), ("search", "budget", 1.5), ("search", "budget", 0),
         ("search", "refine_above", 1.5), ("search", "refine_above", -1),
-        ("search", "coarse_step", "abc"), ("search", "coarse_step", 0),
+        ("search", "refine_above", "abc"), ("search", "budget", True),
         ("sweep", "e_max", [10.5]), ("sweep", "e_max", [20, 0]), ("sweep", "e_max", 20),
         ("sweep", "n_subsets", [1.5]), ("sweep", "n_subsets", [0]),
         ("sweep", "n_subsets", 2), ("sweep", "bands", "868MHz"),

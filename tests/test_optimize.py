@@ -36,9 +36,9 @@ from ehpolicy.chain import (
     _EDGE_EPS,
     PartitionPolicy,
     StatePolicy,
-    _censored_stationary,
     _closed_classes,
     _level_tables,
+    _stationary_laws,
     charge_matrix,
     exact_occupation,
 )
@@ -691,16 +691,55 @@ class TestSearchPartitionPolicy:
                 assert len(sizes) <= 1
 
     def test_singular_censored_chain_fails_alone(self):
-        # the second chain has two closed classes but is passed as unichain, so
-        # its law solve is exactly singular; only that chain is left untrusted
+        # the second chain has two closed classes, so its law solve is exactly
+        # singular; only that chain gets a NaN law
         censored = np.array([[[0.5, 0.5], [0.25, 0.75]], [[1.0, 0.0], [0.0, 1.0]],
                              [[0.0, 1.0], [1.0, 0.0]]])
-        ok = np.ones(3, dtype=bool)
-        pi, ok = _censored_stationary(censored, ok, np.ones((3, 2), dtype=bool))
-        assert ok.tolist() == [True, False, True]
+        pi = _stationary_laws(censored)
         assert pi[0] == pytest.approx([1 / 3, 2 / 3], abs=1e-15)
-        assert pi[1].tolist() == [0.0, 0.0]
+        assert np.isnan(pi[1]).all()
         assert pi[2] == pytest.approx([0.5, 0.5], abs=1e-15)
+
+    def test_singular_law_solve_takes_the_class_route(self, monkeypatch):
+        # in a group whose chains all have trusted laws, one chain's law solve is
+        # made to raise LinAlgError: that chain's gain comes from the class route,
+        # and every other chain keeps the gain of its own law, bit for bit
+        battery, arrivals, actions, part, e0 = SEARCH_EXAMPLES[0]
+        score_group, stationary_laws = optimize._score_group, optimize._stationary_laws
+        groups = []
+        monkeypatch.setattr(optimize, "_score_group",
+                            lambda *args: groups.append(args) or score_group(*args))
+        _candidate_gains(battery, arrivals, CONS, REWARD, actions, part, e0)
+        rows, start_by_action, j_by_action, folds, choices, e0 = groups[0]
+        occupations = []
+
+        def counted(*args):
+            occupations.append(args)
+            return exact_occupation(*args)
+
+        monkeypatch.setattr(optimize.chain, "exact_occupation", counted)
+        want = score_group(*groups[0])
+        assert not occupations
+        g, a = len(folds) - 1, len(actions) - 1
+        nk = folds.shape[2] - 2
+        target = folds[g, start_by_action[-nk:, a], :nk]
+        hits = []
+
+        def singular_at_target(p):
+            # two closed classes make the solve of that one chain exactly singular
+            hit = (p == target).all(axis=(1, 2))
+            hits.append(int(hit.sum()))
+            p = p.copy()
+            p[hit] = np.eye(nk)
+            return stationary_laws(p)
+
+        monkeypatch.setattr(optimize, "_stationary_laws", singular_at_target)
+        got = score_group(*groups[0])
+        assert sum(hits) == 1 and len(occupations) == 1
+        assert got[g, a] == optimize._class_gain(rows, start_by_action, j_by_action,
+                                                 choices[g], a, e0)
+        got[g, a] = want[g, a]
+        assert np.array_equal(got, want)
 
     def test_gth_oracle_on_a_nearly_decomposable_chain(self, power_iteration):
         # the exact gain of (18, 2), by GTH in rational arithmetic, is
