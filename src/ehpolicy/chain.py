@@ -290,12 +290,11 @@ def _gather_block(rows: np.ndarray, starts: np.ndarray, levels: np.ndarray) -> n
 class ChainAnalysis:
     """A policy's chain from one initial level.
 
-    ``state_reward[e]`` is the reward level e earns in a frame,
-    ``stationary[e]`` the limiting share of frames spent at level e (0 at the
-    levels never reached), and ``long_run_reward`` their product summed.
+    ``stationary[e]`` is the limiting share of frames spent at level e (0 at
+    the levels never reached), and ``long_run_reward`` the reward per frame
+    it earns.
     """
 
-    state_reward: np.ndarray
     stationary: np.ndarray
     long_run_reward: float
 
@@ -368,11 +367,7 @@ def evaluate_policy(battery: BatteryModel, arrivals: ArrivalModel, cons: Consump
     is formed."""
     starts, state_reward = _level_tables(cons, reward, policy, battery.e_max)
     pi = exact_occupation(charge_matrix(battery, arrivals), starts, e0)
-    return ChainAnalysis(
-        state_reward=state_reward,
-        stationary=pi,
-        long_run_reward=float(pi @ state_reward),
-    )
+    return ChainAnalysis(stationary=pi, long_run_reward=float(pi @ state_reward))
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +380,6 @@ class SimulationReport:
     empirical_reward: float
     std_error: float
     visit_counts: np.ndarray
-    seed: int
 
 
 def simulate(battery: BatteryModel, arrivals: ArrivalModel, cons: ConsumptionMap,
@@ -441,7 +435,6 @@ def simulate(battery: BatteryModel, arrivals: ArrivalModel, cons: ConsumptionMap
         empirical_reward=mean,
         std_error=se,
         visit_counts=counts,
-        seed=seed,
     )
 
 

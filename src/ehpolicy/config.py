@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import MISSING, asdict, dataclass, field, fields
 
@@ -82,8 +83,17 @@ class BatteryConfig:
         _check_int("battery.e_max", self.e_max, 1)
         for name in ("beta_nl", "eta"):
             _check_number(f"battery.{name}", getattr(self, name), optional=True)
+        # the reward and the device table read these; the charging flow, normalised
+        # to the frame, does not
         for name in ("frame_length", "slot_length", "quantum_joules"):
-            _check_number(f"battery.{name}", getattr(self, name))
+            value = getattr(self, name)
+            _check_number(f"battery.{name}", value)
+            if not 0 < value < math.inf:
+                raise ConfigurationError(f"battery.{name} must be positive, got {value!r}")
+        if self.slot_length >= self.frame_length:
+            raise ConfigurationError(
+                f"battery.slot_length must be shorter than battery.frame_length, "
+                f"got {self.slot_length!r} >= {self.frame_length!r}")
         _check_entries("battery.values", self.values, _check_number)
 
     def build(self, e_max: int | None = None, ideal: bool = False) -> BatteryModel:
@@ -103,12 +113,8 @@ class BatteryConfig:
             profile = TabulatedEfficiency(values=tuple(self.values))
         else:
             raise ConfigurationError(f"battery.profile: unknown profile {self.profile!r}")
-        return BatteryModel(
-            e_max=int(e_max if e_max is not None else self.e_max),
-            efficiency=profile,
-            frame_length_t=self.frame_length,
-            slot_length_delta=self.slot_length,
-        )
+        return BatteryModel(e_max=int(e_max if e_max is not None else self.e_max),
+                            efficiency=profile)
 
 
 @dataclass

@@ -113,16 +113,10 @@ class BatteryModel:
 
     e_max: int
     efficiency: EfficiencyProfile
-    frame_length_t: float = 1.0
-    slot_length_delta: float = 0.005
 
     def __post_init__(self):
         if self.e_max < 1:
             raise DomainError(f"e_max must be >= 1, got {self.e_max}")
-        if self.frame_length_t <= 0 or self.slot_length_delta <= 0:
-            raise DomainError("frame and slot lengths must be positive")
-        if self.slot_length_delta >= self.frame_length_t:
-            raise DomainError("slot length must be shorter than the frame")
         # eta must be strictly positive everywhere so recharge never stalls
         grid = np.linspace(0.0, self.e_max, 101)
         eff = _efficiency_unchecked(self.efficiency, grid, self.e_max)
@@ -221,24 +215,26 @@ def next_state_table(battery: BatteryModel, b_max: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ArrivalModel:
-    """I.i.d. per-frame energy arrivals on {0..b_max}."""
+    """I.i.d. per-frame energy arrivals on {0..b_max}, where ``pmf[b]`` is the
+    chance of b quanta; ``b_max`` and ``mean_b`` follow from the pmf."""
 
     pmf: tuple
-    b_max: int
-    mean_b: float
 
     def __post_init__(self):
         pmf = tuple(float(p) for p in self.pmf)
         object.__setattr__(self, "pmf", pmf)
-        if len(pmf) != self.b_max + 1:
-            raise DomainError("pmf must have b_max + 1 entries")
         if any(p < 0.0 for p in pmf):
             raise DomainError("pmf entries must be nonnegative")
         if abs(sum(pmf) - 1.0) > 1e-12:
             raise DomainError("pmf must sum to 1 within 1e-12")
-        mean = sum(b * p for b, p in enumerate(pmf))
-        if abs(mean - self.mean_b) > 1e-9:
-            raise DomainError(f"declared mean {self.mean_b} != pmf mean {mean}")
+
+    @property
+    def b_max(self) -> int:
+        return len(self.pmf) - 1
+
+    @property
+    def mean_b(self) -> float:
+        return float(np.arange(len(self.pmf), dtype=float) @ self.pmf)
 
     def pmf_array(self) -> np.ndarray:
         return np.asarray(self.pmf, dtype=float)
@@ -252,9 +248,7 @@ def arrival_model_from_pmf(pmf) -> ArrivalModel:
     total = pmf.sum()
     if total <= 0:
         raise DomainError("pmf must have positive mass")
-    pmf = pmf / total
-    mean = float(np.arange(len(pmf)) @ pmf)
-    return ArrivalModel(pmf=tuple(pmf), b_max=len(pmf) - 1, mean_b=mean)
+    return ArrivalModel(pmf=tuple(pmf / total))
 
 
 def _fit_mean_by_bisection(log_weight, mean_target, b_max):
@@ -285,8 +279,7 @@ def _fit_mean_by_bisection(log_weight, mean_target, b_max):
     mean, w = mean_at(0.5 * (lo + hi))
     if abs(mean - mean_target) > 1e-9:
         raise DomainError(f"bisection failed to match mean (got {mean})")
-    # Re-declare the mean from the fitted pmf so the invariant holds exactly.
-    return ArrivalModel(pmf=tuple(w), b_max=b_max, mean_b=float(bs @ w))
+    return ArrivalModel(pmf=tuple(w))
 
 
 def make_truncated_geometric(mean_target: float, b_max: int) -> ArrivalModel:

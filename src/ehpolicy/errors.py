@@ -18,14 +18,7 @@ class NumericError(EHPolicyError, ArithmeticError):
 
 
 class ConvergenceError(EHPolicyError, RuntimeError):
-    """An iterative solver hit its iteration cap.
-
-    Carries the last residual/span so callers can diagnose the failure.
-    """
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
+    """An iterative solver hit its iteration cap."""
 
 
 class BudgetExceededError(EHPolicyError, ValueError):

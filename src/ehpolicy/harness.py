@@ -8,7 +8,7 @@ import hashlib
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy
@@ -29,20 +29,14 @@ from .optimize import (
     upper_bound,
 )
 
-RESULT_COLUMNS = (
-    "scenario", "band", "e_max", "n_subsets", "policy",
-    "g_analytic", "g_simulated", "std_error",
-    "g_upper_bound", "g_ideal_bound", "wall_time_s", "error",
-)
-
-
-@dataclass
+@dataclass(kw_only=True)
 class ResultRow:
+    """One row of ``results.csv``; its fields, in order, are the columns."""
     scenario: str
-    policy: str
+    band: str = ""
     e_max: int
     n_subsets: int | None = None
-    band: str = ""
+    policy: str
     g_analytic: float | None = None
     g_simulated: float | None = None
     std_error: float | None = None
@@ -52,47 +46,40 @@ class ResultRow:
     error: str = ""
 
     def as_record(self) -> dict:
-        def num(x):
-            return "" if x is None else f"{x:.12g}"
+        def cell(name, x):
+            if x is None:
+                return ""
+            if name == "wall_time_s":
+                return f"{x:.3f}"
+            return f"{x:.12g}" if isinstance(x, float) else str(x)
 
-        return {
-            "scenario": self.scenario,
-            "band": self.band,
-            "e_max": str(self.e_max),
-            "n_subsets": "" if self.n_subsets is None else str(self.n_subsets),
-            "policy": self.policy,
-            "g_analytic": num(self.g_analytic),
-            "g_simulated": num(self.g_simulated),
-            "std_error": num(self.std_error),
-            "g_upper_bound": num(self.g_upper_bound),
-            "g_ideal_bound": num(self.g_ideal_bound),
-            "wall_time_s": "" if self.wall_time_s is None else f"{self.wall_time_s:.3f}",
-            "error": self.error,
-        }
+        return {f.name: cell(f.name, getattr(self, f.name)) for f in fields(self)}
 
 
-def write_results(rows, out_dir, name: str = "results.csv") -> Path:
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / name
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=RESULT_COLUMNS, lineterminator="\n")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row.as_record())
-    return path
+RESULT_COLUMNS = tuple(f.name for f in fields(ResultRow))
 
 
-def write_policy_file(path, policy, cons) -> Path:
-    """Policy CSV: one row per state or subset with its action and consumption."""
+def _write_csv(path, header, rows) -> Path:
+    """Write ``header`` and then ``rows``, each a sequence of cells, to a CSV at ``path``."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["index", "action", "consumption"])
-        for idx, action in enumerate(policy.actions):
-            writer.writerow([idx, action, cons.consumption(action)])
+        writer.writerow(header)
+        writer.writerows(rows)
     return path
+
+
+def write_results(rows, out_dir, name: str = "results.csv") -> Path:
+    return _write_csv(Path(out_dir) / name, RESULT_COLUMNS,
+                      (row.as_record().values() for row in rows))
+
+
+def write_policy_file(path, policy, cons) -> Path:
+    """Policy CSV: one row per state or subset with its action and consumption."""
+    return _write_csv(path, ["index", "action", "consumption"],
+                      ([idx, action, cons.consumption(action)]
+                       for idx, action in enumerate(policy.actions)))
 
 
 def write_manifest(cfg: ScenarioConfig, out_dir, command: str) -> Path:
@@ -326,16 +313,12 @@ def run_bound(cfg: ScenarioConfig, out_dir) -> list:
     t0 = time.perf_counter()
     models = build_models(cfg)
     point = _Point(cfg, models)
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / f"bound_{cfg.scenario}.csv", "w", newline="",
-              encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["arrival_quanta", "best_start_level", "max_stored_quanta"])
-        for b, (a_star, beta) in enumerate(zip(point.bound.a_star_table,
-                                               point.bound.beta_star_table)):
-            writer.writerow([b, f"{a_star:.12g}", f"{beta:.12g}"])
-    rows = [point.row("upper_bound", t0, g_analytic=point.bound.g_ub)]
+    bound = point.bound
+    _write_csv(Path(out_dir) / f"bound_{cfg.scenario}.csv",
+               ["arrival_quanta", "best_start_level", "max_stored_quanta"],
+               ([b, f"{a_star:.12g}", f"{beta:.12g}"] for b, (a_star, beta)
+                in enumerate(zip(bound.a_star_table, bound.beta_star_table))))
+    rows = [point.row("upper_bound", t0, g_analytic=bound.g_ub)]
     write_results(rows, out_dir)
     return rows
 

@@ -20,8 +20,6 @@
   laws by LU, which loses the tiny leaks of nearly decomposable chains.
 """
 
-import math
-
 import numpy as np
 import pytest
 
@@ -143,8 +141,7 @@ def long_run_average(transition, state_reward, e0, max_squarings=128):
         if step < 1e-14:
             break
     else:
-        raise ConvergenceError(
-            f"occupation did not converge in {max_squarings} squarings", residual=step)
+        raise ConvergenceError(f"occupation did not converge in {max_squarings} squarings")
 
     pi = np.maximum(power[e0], 0.0)
     pi /= pi.sum()
@@ -178,7 +175,6 @@ def simulate_reference(battery, arrivals, cons, reward, policy, frames, seed, e0
         empirical_reward=float(rewards.mean()),
         std_error=se,
         visit_counts=np.bincount(states, minlength=battery.e_max + 1),
-        seed=seed,
     )
 
 
@@ -196,7 +192,6 @@ def rvi_reference(battery, arrivals, cons, reward, actions,
 
     rows = charge_matrix(battery, arrivals)
     h = np.zeros(n)
-    span = math.inf
     for _ in range(max_sweeps):
         z = rows @ h
         q = j + 0.5 * h[:, None] + 0.5 * z[start_of]
@@ -209,8 +204,7 @@ def rvi_reference(battery, arrivals, cons, reward, actions,
             break
     else:
         raise ConvergenceError(
-            f"relative value iteration did not converge in {max_sweeps} sweeps",
-            residual=span)
+            f"relative value iteration did not converge in {max_sweeps} sweeps")
 
     z = rows @ h
     q = j + 0.5 * h[:, None] + 0.5 * z[start_of]

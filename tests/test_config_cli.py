@@ -368,7 +368,11 @@ class TestCli:
         ("battery", "beta_nl", "x"), ("battery", "slot_length", "x"),
         ("battery", "frame_length", True), ("battery", "values", ["x", 1]),
         ("reward", "snr_scale", "x"), ("actions", "values", [0, "x"]),
-        ("actions", "values", [0, 2.5]), ("partition", "boundaries", [0, "x"])])
+        ("actions", "values", [0, 2.5]), ("partition", "boundaries", [0, "x"]),
+        ("battery", "quantum_joules", 0), ("battery", "quantum_joules", -1e-5),
+        ("battery", "quantum_joules", float("inf")), ("battery", "frame_length", 0),
+        ("battery", "frame_length", 0.001), ("battery", "slot_length", -0.005),
+        ("battery", "slot_length", 1.0), ("battery", "slot_length", float("nan"))])
     def test_bad_numeric_field_fails_before_searching(self, tmp_path, capsys, monkeypatch,
                                                       section, key, bad):
         # a section of None is a top-level field
@@ -385,6 +389,21 @@ class TestCli:
         out = tmp_path / "out"
         assert main(["search", "--config", str(path), "--out", str(out)]) == 2
         assert (key if section is None else f"{section}.{key}") in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["validate", "search"])
+    @pytest.mark.parametrize("quantum", [0, -1e-5])
+    def test_device_quantum_is_checked(self, tmp_path, capsys, command, quantum):
+        # the device table divides by the quantum: 0 used to end in a bare
+        # ZeroDivisionError, and -1e-5 to leave only the idle action
+        data = yaml.safe_load(SMALL_YAML)
+        data["battery"]["quantum_joules"] = quantum
+        data["consumption"] = {"kind": "device", "band": "315MHz"}
+        path = tmp_path / "device.yaml"
+        path.write_text(yaml.safe_dump(data), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 2
+        assert "battery.quantum_joules must be positive" in capsys.readouterr().err
         assert not out.exists()
 
     def test_policy_sources_match_sweep_rows(self, small_config, tmp_path):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from ehpolicy import (
     ActionSet,
+    ArrivalModel,
     BatteryModel,
     ConstantEfficiency,
     DeviceTableConsumption,
@@ -231,6 +232,33 @@ class TestArrivalConstructors:
         arr = arrival_model_from_pmf([0.5, 0.25, 0.25])
         assert arr.mean_b == pytest.approx(0.75)
         assert arr.b_max == 2
+
+    @pytest.mark.parametrize("make,mean,b_max", [
+        (make_truncated_geometric, 20.0, 50), (make_truncated_poisson, 30.0, 50),
+        (make_truncated_poisson, 5.0, 20), (make_truncated_geometric, 3.0, 10)])
+    def test_fitted_model_derives_the_declared_fields(self, make, mean, b_max):
+        # the oracle is the mean the fit used to declare: its support times its pmf
+        arr = make(mean, b_max)
+        assert arr.b_max == b_max
+        declared = float(np.arange(b_max + 1, dtype=float) @ np.asarray(arr.pmf))
+        assert arr.mean_b.hex() == declared.hex()
+
+    @pytest.mark.parametrize("raw", [
+        [0.5, 0.25, 0.25], [3, 3, 1, 0], [0.1] * 10, [0] * 7 + [1.0], [1.0], [2, 7, 1, 5, 3]])
+    def test_explicit_model_derives_the_declared_fields(self, raw):
+        # the oracle is the mean the explicit constructor used to declare
+        pmf = np.asarray(raw, dtype=float)
+        pmf = pmf / pmf.sum()
+        arr = arrival_model_from_pmf(raw)
+        assert arr.b_max == len(raw) - 1
+        assert arr.mean_b.hex() == float(np.arange(len(pmf)) @ pmf).hex()
+
+    @pytest.mark.parametrize("pmf,message", [
+        ((0.5, -0.25, 0.75), "nonnegative"), ((0.5, 0.25), "sum to 1"),
+        ((0.5, 0.5 + 1e-11), "sum to 1")])
+    def test_model_rejects_a_bad_pmf(self, pmf, message):
+        with pytest.raises(DomainError, match=message):
+            ArrivalModel(pmf=pmf)
 
 
 class TestSampling:

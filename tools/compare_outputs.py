@@ -4,12 +4,13 @@ diff their outputs.
     python tools/compare_outputs.py <rev>
 
 <rev> is checked out into a temporary `git worktree`. Each command below
-runs on both trees with `--threads 1` at seeds 1 and 3, in a fresh
-interpreter with BLAS, OpenMP and MKL on one thread. Every CSV and
-`run_manifest.txt` they write is compared; the `wall_time_s` column is
-ignored. The script prints each run's peak RSS and wall time on both
-trees, then each difference, and exits 1 if there is any, 0 if the outputs
-are identical.
+runs on both trees with `--threads 1` at seeds 1 and 3, and `validate` runs
+once on each preset, each in a fresh interpreter with BLAS, OpenMP and MKL
+on one thread. Every file the commands write is compared, and so is what
+`validate` prints, with its exit code, since it writes no file; the
+`wall_time_s` column is ignored. The script prints each run's peak RSS and
+wall time on both trees, then each difference, and exits 1 if there is
+any, 0 if the outputs are identical.
 """
 
 from __future__ import annotations
@@ -35,35 +36,52 @@ COMMANDS = (
     ("simulate", "--preset", "baseline"),
     ("simulate", "--config", "perfbench/large_battery.yaml"),
 )
+VALIDATED_PRESETS = ("baseline", "fig2", "fig3", "fig4", "fig5")
 IGNORED_COLUMNS = {"wall_time_s"}
 ONE_THREAD = {name: "1" for name in
               ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 
 
+def _run(argv, tree: Path, env: dict):
+    """Run ``argv`` in ``tree``; returns its exit code, standard output and
+    standard error, peak RSS in MiB and wall time in seconds."""
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        started = time.perf_counter()
+        child = subprocess.Popen(argv, cwd=tree, env=env, stdout=out, stderr=err)
+        # wait4 reaps the child and returns the resource usage of that child alone
+        _, status, usage = os.wait4(child.pid, 0)
+        wall = time.perf_counter() - started
+        out.seek(0)
+        err.seek(0)
+        # ru_maxrss is in KiB on Linux
+        return (os.waitstatus_to_exitcode(status), out.read().decode(),
+                err.read().decode(errors="replace"), usage.ru_maxrss / 1024, wall)
+
+
 def run_all(tree: Path, out: Path) -> dict:
-    """Run every command at every seed on ``tree``, each into its own directory
-    of ``out``; returns each run's peak RSS in MiB and wall time in seconds,
-    keyed by that directory's name."""
+    """Run every command at every seed, and `validate` on every preset, on
+    ``tree``, each into its own directory of ``out``; returns each run's peak
+    RSS in MiB and wall time in seconds, keyed by that directory's name."""
     env = {**os.environ, **ONE_THREAD, "PYTHONPATH": str(tree / "src")}
+    cli = [sys.executable, "-m", "ehpolicy.cli"]
     usages = {}
     for command in COMMANDS:
         for seed in SEEDS:
             name = f"{'_'.join(command).replace('/', '_')}_seed{seed}"
-            argv = [sys.executable, "-m", "ehpolicy.cli", *command, "--out", str(out / name),
-                    "--seed", str(seed), "--threads", "1"]
-            with tempfile.TemporaryFile() as err:
-                started = time.perf_counter()
-                child = subprocess.Popen(argv, cwd=tree, env=env, stdout=subprocess.DEVNULL,
-                                         stderr=err)
-                # wait4 reaps the child and returns the resource usage of that child alone
-                _, status, usage = os.wait4(child.pid, 0)
-                wall = time.perf_counter() - started
-                child.returncode = os.waitstatus_to_exitcode(status)
-                if child.returncode:
-                    err.seek(0)
-                    raise SystemExit(f"{' '.join(argv)} failed in {tree}:\n"
-                                     f"{err.read().decode(errors='replace')}")
-            usages[name] = (usage.ru_maxrss / 1024, wall)  # ru_maxrss is in KiB on Linux
+            argv = [*cli, *command, "--out", str(out / name), "--seed", str(seed),
+                    "--threads", "1"]
+            code, _, err, peak, wall = _run(argv, tree, env)
+            if code:
+                raise SystemExit(f"{' '.join(argv)} failed in {tree}:\n{err}")
+            usages[name] = (peak, wall)
+    for preset in VALIDATED_PRESETS:
+        name = f"validate_{preset}"
+        code, stdout, stderr, peak, wall = _run(
+            [*cli, "validate", "--preset", preset, "--threads", "1"], tree, env)
+        (out / name).mkdir(parents=True)
+        (out / name / "validate.txt").write_text(f"exit code: {code}\n{stdout}{stderr}",
+                                                 encoding="utf-8")
+        usages[name] = (peak, wall)
     return usages
 
 
@@ -82,8 +100,6 @@ def differences(want: Path, got: Path) -> list:
     names |= {p.relative_to(got) for p in got.rglob("*") if p.is_file()}
     found = []
     for name in sorted(names):
-        if name.suffix != ".csv" and name.name != "run_manifest.txt":
-            continue
         a, b = want / name, got / name
         if not (a.exists() and b.exists()):
             found.append(f"{name}: only in {'the revision' if a.exists() else 'this tree'}")
@@ -123,7 +139,7 @@ def main(argv=None) -> int:
         print(f"  {name}: {peak:.1f} -> {peak_tree:.1f} MiB, {wall:.2f} -> {wall_tree:.2f} s")
     for line in found:
         print(line)
-    runs = len(COMMANDS) * len(SEEDS)
+    runs = len(COMMANDS) * len(SEEDS) + len(VALIDATED_PRESETS)
     print(f"{len(found)} differences over {runs} runs against {args.rev}")
     return 1 if found else 0
 
