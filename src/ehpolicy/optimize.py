@@ -44,6 +44,7 @@ from .errors import (
 _STACK_ENTRIES = 1 << 14
 _GROUP_BYTES = 1 << 19  # folds and censored supports of a group of last-depth prefixes
 _START_SWEEPS = 10  # value-iteration sweeps whose greedy policy starts policy iteration
+_BOUND_SWEEPS = 5  # value-iteration sweeps of a last-depth prefix's gain bound; 0 for none
 _MAX_ITERATIONS = 500  # policy-iteration steps before a cycle is reported
 _KEEP_RTOL = 1e-10  # a state's action changes only if beaten by more, relative to max |Q|
 _MAX_BUDGET = 10 ** 8  # candidates per partition search at most; it holds 8 bytes a candidate
@@ -294,7 +295,8 @@ def _identity_minus(block: np.ndarray) -> np.ndarray:
 class SearchResult:
     best_policy: PartitionPolicy
     best_reward: float
-    evaluated_count: int
+    evaluated_count: int  # every candidate, scored or pruned
+    pruned: int  # candidates skipped because their prefix's gain bound lost
 
 
 def search_partition_policy(battery: BatteryModel, arrivals: ArrivalModel,
@@ -326,6 +328,7 @@ def search_partition_policy(battery: BatteryModel, arrivals: ArrivalModel,
     # takes that subset's action
     scored = partition if len(actions) > 1 else Partition(e_max=battery.e_max, starts=(0,))
     gains = _candidate_gains(battery, arrivals, cons, reward, actions, scored, e0)
+    pruned = int(np.count_nonzero(np.isneginf(gains)))
     np.copyto(gains, -np.inf, where=np.isnan(gains))
     best = int(np.argmax(gains))
     combo = np.unravel_index(best, gains.shape) * (partition.n_subsets // scored.n_subsets)
@@ -333,7 +336,7 @@ def search_partition_policy(battery: BatteryModel, arrivals: ArrivalModel,
         partition=partition,
         actions=tuple(actions.actions[i] for i in combo))
     return SearchResult(best_policy=policy, best_reward=float(gains.flat[best]),
-                        evaluated_count=n_policies)
+                        evaluated_count=n_policies, pruned=pruned)
 
 
 def _candidate_gains(battery: BatteryModel, arrivals: ArrivalModel, cons: ConsumptionMap,
@@ -357,7 +360,11 @@ def _candidate_gains(battery: BatteryModel, arrivals: ArrivalModel, cons: Consum
     action takes the class route. Otherwise E is eliminated once, folded
     into every charge row, and the prefix is queued; ``_score_group``
     scores the queue whenever it holds as many prefixes as fit in
-    ``_GROUP_BYTES`` (one at least), and at the end of the walk.
+    ``_GROUP_BYTES`` (one at least), and at the end of the walk. Before E
+    is eliminated, ``_gain_bound`` bounds the gains of the prefix's row; if
+    the bound lies below the largest gain the array holds so far, less a
+    relative margin of 1e-9, the row is set to -inf and not scored. Queued
+    prefixes do not count towards that gain.
     """
     n_subsets = partition.n_subsets
     rows = charge_matrix(battery, arrivals)
@@ -371,6 +378,13 @@ def _candidate_gains(battery: BatteryModel, arrivals: ArrivalModel, cons: Consum
     # bytes per queued prefix: its fold and its |A| censored supports
     group = max(1, _GROUP_BYTES // (8 * n * (nk + 2) + n_acts * nk * nk))
     queued = []  # (prefix, actions on E, fold)
+    best = -np.inf  # the largest gain the array holds so far
+    v = np.zeros(n)  # where the next prefix's bound starts
+
+    def keep(prefix, values):
+        nonlocal best
+        gains[prefix] = values
+        best = np.fmax.reduce(gains[prefix], axis=None, initial=best)  # fmax skips NaN
 
     def score_queue():
         prefixes, choices, folds = zip(*queued)
@@ -378,9 +392,10 @@ def _candidate_gains(battery: BatteryModel, arrivals: ArrivalModel, cons: Consum
         folds = np.stack(folds)  # frees the per-prefix folds
         scored = _score_group(rows, start_by_action, j_by_action, folds, choices, e0)
         for prefix, row in zip(prefixes, scored):
-            gains[prefix] = row
+            keep(prefix, row)
 
     def fill(prefix):
+        nonlocal v
         depth = len(prefix)
         k = partition.starts[depth]
         if e0 < k or depth == n_subsets - 1:
@@ -389,15 +404,22 @@ def _candidate_gains(battery: BatteryModel, arrivals: ArrivalModel, cons: Consum
             reach = _reaches_last_subset(p_e > _EDGE_EPS, k)
         if e0 < k and not reach[e0]:
             # the chain from e0 never climbs to level k: one gain for the whole subtree
-            gains[prefix] = _class_gain(rows, start_by_action, j_by_action, choice_e, 0, e0)
+            keep(prefix, _class_gain(rows, start_by_action, j_by_action, choice_e, 0, e0))
         elif depth < n_subsets - 1:
             for a in range(n_acts):
                 fill(prefix + (a,))
         elif not reach.all():
             # E holds a closed class, so I - P_EE is singular
-            gains[prefix] = [_class_gain(rows, start_by_action, j_by_action, choice_e, a, e0)
-                             for a in range(n_acts)]
+            keep(prefix, [_class_gain(rows, start_by_action, j_by_action, choice_e, a, e0)
+                          for a in range(n_acts)])
         else:
+            if _BOUND_SWEEPS:
+                bound, v = _gain_bound(rows, start_by_action, j_by_action, choice_e, v,
+                                       _BOUND_SWEEPS)
+                if bound < best - 1e-9 * abs(best):
+                    # strictly below, so no candidate that ties the winner is skipped
+                    gains[prefix] = -np.inf
+                    return
             # eliminate E: (I - P_EE)[Y | u | t] = [P_EK | r_E | 1], folded into every
             # charge row, gives its law on K and the reward and frames spent in E
             w = np.linalg.solve(np.eye(k) - p_e[:, :k], np.column_stack(
@@ -412,6 +434,31 @@ def _candidate_gains(battery: BatteryModel, arrivals: ArrivalModel, cons: Consum
     if queued:
         score_queue()
     return gains
+
+
+def _gain_bound(rows, start_by_action, j_by_action, choice_e, v, sweeps):
+    """Upper bound on the gain, from any start, of every policy whose level e
+    below len(choice_e) takes action ``choice_e[e]``, whatever the levels
+    above take; returns it and the v that the next bound starts from.
+
+    It takes ``sweeps`` value-iteration sweeps from ``v`` on the MDP in
+    which those levels keep their actions and every level above takes its
+    best action. For any v, max (Tv - v) is at least the gain of each
+    stationary policy of that MDP (Odoni, *Oper. Res.* 17, 1969; Puterman,
+    *Markov Decision Processes*, 1994, §8.5), and in exact arithmetic it
+    never rises from one sweep to the next. The v returned is the last Tv
+    less its value at level 0.
+    """
+    k = len(choice_e)
+    start_e = start_by_action[np.arange(k), choice_e]
+    j_e = j_by_action[np.arange(k), choice_e]
+    for _ in range(sweeps):
+        w = rows @ v
+        tv = np.concatenate((w[start_e] + j_e,
+                             (w[start_by_action[k:]] + j_by_action[k:]).max(axis=1)))
+        bound = (tv - v).max()
+        v = tv - tv[0]
+    return bound, v
 
 
 def _class_gain(rows, start_by_action, j_by_action, choice_e, a, e0) -> float:
@@ -491,6 +538,7 @@ def refine_partition_search(battery, arrivals, cons, reward, actions, partition,
         best_policy=best.best_policy,
         best_reward=best.best_reward,
         evaluated_count=stage1.evaluated_count + stage2.evaluated_count,
+        pruned=stage1.pruned + stage2.pruned,
     )
 
 

@@ -41,7 +41,8 @@ def device_consumption_table(band: str, quantum_joules: float, slot_length: floa
     """Quantized (tx, consumption) rows for a band, sorted by tx power.
 
     Levels whose transmit power quantizes below one quantum are dropped:
-    they cost battery but cannot carry signal on the quantum grid.
+    they cost battery but cannot carry signal on the quantum grid. If every
+    level is dropped, only idling would be left, so that is an error.
     """
     if band not in DEVICE_BANDS_MW:
         raise ConfigurationError(f"unknown device band {band!r}; "
@@ -54,6 +55,10 @@ def device_consumption_table(band: str, quantum_joules: float, slot_length: floa
             continue
         if tx_q not in rows or cons_q < rows[tx_q]:
             rows[tx_q] = cons_q
+    if not rows:
+        raise ConfigurationError(
+            f"device band {band!r}: no transmit level reaches one quantum of "
+            f"battery.quantum_joules = {quantum_joules:g} J; use a smaller quantum")
     return tuple(sorted((t, max(c, t)) for t, c in rows.items()))
 
 

@@ -157,6 +157,11 @@ class TestDeviceTable:
         with pytest.raises(ConfigurationError):
             device_consumption_table("2.4GHz", 1e-5, 0.005)
 
+    @pytest.mark.parametrize("band", ["315MHz", "433MHz", "868MHz", "915MHz"])
+    def test_no_level_left_is_refused(self, band):
+        with pytest.raises(ConfigurationError, match="battery.quantum_joules"):
+            device_consumption_table(band, 1.0, 0.005)
+
     def test_fig5_actions_follow_device(self):
         cfg = get_preset("fig5")
         models = build_models(cfg, band="315MHz")
@@ -405,6 +410,21 @@ class TestCli:
         assert main([command, "--config", str(path), "--out", str(out)]) == 2
         assert "battery.quantum_joules must be positive" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["validate", "search"])
+    def test_device_quantum_above_every_level_is_refused(self, tmp_path, capsys, command):
+        # at 1 J a quantum no 315MHz transmit level reaches one quantum, which
+        # used to leave only the idle action: validate passed and search gave G=0
+        data = yaml.safe_load(SMALL_YAML)
+        data["battery"]["quantum_joules"] = 1.0
+        data["consumption"] = {"kind": "device", "band": "315MHz"}
+        path = tmp_path / "device.yaml"
+        path.write_text(yaml.safe_dump(data), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "315MHz" in err and "battery.quantum_joules" in err
+        assert not (out / "results.csv").exists()
 
     def test_policy_sources_match_sweep_rows(self, small_config, tmp_path):
         assert set(harness.POLICY_MAKERS) == set(_POLICY_SOURCES)

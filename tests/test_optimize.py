@@ -217,8 +217,10 @@ def dense_improve(q, choice, allowed=None):
 
 
 def candidate_gains(battery, arrivals, actions, partition, e0=0):
-    """{action vector: gain} of every candidate the partition search scores."""
-    gains = _candidate_gains(battery, arrivals, CONS, REWARD, actions, partition, e0)
+    """{action vector: gain} of every candidate, with no prefix pruned."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(optimize, "_BOUND_SWEEPS", 0)
+        gains = _candidate_gains(battery, arrivals, CONS, REWARD, actions, partition, e0)
     assert gains.shape == (len(actions),) * partition.n_subsets
     return {tuple(actions.actions[i] for i in combo): float(gain)
             for combo, gain in np.ndenumerate(gains)}
@@ -665,7 +667,9 @@ class TestSearchPartitionPolicy:
     @pytest.mark.parametrize("case", [*range(len(SEARCH_EXAMPLES)), "fig3"])
     def test_group_and_chunk_bounds_do_not_change_gains(self, monkeypatch, case):
         # one prefix per group and one censored chain per chunk, a few of each,
-        # and no bound at all give the same gains, bit for bit
+        # and no bound at all give the same gains, bit for bit; with no prefix
+        # pruned, since the groups decide when the best gain so far is known
+        monkeypatch.setattr(optimize, "_BOUND_SWEEPS", 0)
         if case == "fig3":
             args = (*fig3_coarse_stage(), 0)
         else:
@@ -705,6 +709,7 @@ class TestSearchPartitionPolicy:
         # made to raise LinAlgError: that chain's gain comes from the class route,
         # and every other chain keeps the gain of its own law, bit for bit
         battery, arrivals, actions, part, e0 = SEARCH_EXAMPLES[0]
+        monkeypatch.setattr(optimize, "_BOUND_SWEEPS", 0)
         score_group, stationary_laws = optimize._score_group, optimize._stationary_laws
         groups = []
         monkeypatch.setattr(optimize, "_score_group",
@@ -755,9 +760,10 @@ class TestSearchPartitionPolicy:
 
     @pytest.mark.xfail(strict=True, reason="a dense LU solve forms 1 - p_ii and loses the "
                        "tiny leak between the two nearly closed halves of these chains")
-    def test_nearly_decomposable_gains_match_gth(self):
+    def test_nearly_decomposable_gains_match_gth(self, monkeypatch):
         # the search gives 0.0214758 and 0.0227880 for (18, 2) and (16, 2),
         # against exact gains of 8.83e-07 and 0.0198015; the winner (4, 6) is right
+        monkeypatch.setattr(optimize, "_BOUND_SWEEPS", 0)
         args, part = nearly_decomposable_model()
         gains = _candidate_gains(*args, ActionSet(tuple(range(61))), part, 0)
         for combo in ((18, 2), (16, 2)):
@@ -765,6 +771,65 @@ class TestSearchPartitionPolicy:
             transition, state_reward = build_chain(*args, policy)
             assert gains[combo] == pytest.approx(gth_gain(transition, state_reward, 0),
                                                  rel=1e-10)
+
+    @pytest.mark.parametrize("case", [*range(len(SEARCH_EXAMPLES)), "fig3", "nearly_decomposable"])
+    def test_pruning_changes_no_answer(self, monkeypatch, case):
+        # a pruned entry holds -inf; every other entry, the winner and its gain
+        # keep their bits, and each pruned gain lies below the winner's less the margin
+        if case == "fig3":
+            args = (*fig3_coarse_stage(), 0)
+        elif case == "nearly_decomposable":
+            (battery, arrivals, cons, reward), part = nearly_decomposable_model()
+            args = (battery, arrivals, cons, reward, ActionSet(tuple(range(61))), part, 0)
+        else:
+            battery, arrivals, actions, part, e0 = SEARCH_EXAMPLES[case]
+            args = (battery, arrivals, CONS, REWARD, actions, part, e0)
+        bounded = _candidate_gains(*args)
+        result = search_partition_policy(*args)
+        monkeypatch.setattr(optimize, "_BOUND_SWEEPS", 0)
+        full = _candidate_gains(*args)
+        pruned = np.isneginf(bounded)
+        assert not np.isneginf(full).any()
+        assert np.array_equal(bounded[~pruned], full[~pruned], equal_nan=True)
+        best = int(np.argmax(np.where(np.isnan(full), -np.inf, full)))
+        assert int(np.argmax(np.where(np.isnan(bounded), -np.inf, bounded))) == best
+        assert result.best_reward == full.flat[best]
+        assert result.pruned == np.count_nonzero(pruned)
+        assert (full[pruned] < full.flat[best] - 1e-9 * abs(full.flat[best])).all()
+        if case == "fig3":
+            # the only case that prunes: 41 of its 52 bounded prefixes
+            assert np.count_nonzero(pruned.all(axis=-1)) >= 40
+
+    def test_gain_bound_is_an_upper_bound(self):
+        # every bounded prefix of SEARCH_EXAMPLES, from the v its bound started
+        # from: the bound lies above each last action's gain, and more sweeps
+        # never raise it; a bound that has settled moves by a few ulps either way,
+        # far below the search's pruning margin of 1e-9 relative
+        bound_sweeps = sorted({1, 5, optimize._BOUND_SWEEPS, 10})
+        gain_bound = optimize._gain_bound
+        checked = 0
+        for battery, arrivals, actions, part, e0 in SEARCH_EXAMPLES:
+            calls = []
+
+            def recorded(*args):
+                calls.append(args[:5])
+                return gain_bound(*args)
+
+            with pytest.MonkeyPatch.context() as monkeypatch:
+                monkeypatch.setattr(optimize, "_gain_bound", recorded)
+                _candidate_gains(battery, arrivals, CONS, REWARD, actions, part, e0)
+            for rows, start_by_action, j_by_action, choice_e, v in calls:
+                bounds = [gain_bound(rows, start_by_action, j_by_action, choice_e, v, sweeps)[0]
+                          for sweeps in bound_sweeps]
+                assert all(b <= a + 1e-12 * abs(a) for a, b in zip(bounds, bounds[1:]))
+                below = tuple(actions.actions[i] for i in choice_e)
+                for a in actions.actions:
+                    policy = StatePolicy(actions=below + (a,) * (battery.e_max + 1 - len(below)))
+                    gain = evaluate_policy(battery, arrivals, CONS, REWARD, policy,
+                                           e0).long_run_reward
+                    assert all(bound >= gain for bound in bounds)
+                checked += 1
+        assert checked
 
     @pytest.mark.parametrize("e0", [-1, 101])
     def test_rejects_start_outside_battery(self, e0):
