@@ -86,31 +86,26 @@ def _closed_classes(support: np.ndarray) -> list:
     return sorted(classes, key=lambda levels: levels[0])
 
 
-def _stack_closed_classes(support: np.ndarray):
-    """Closed classes of each chain of a stack of boolean supports (c, k, k).
+def _stack_reach(support: np.ndarray, sources: np.ndarray) -> np.ndarray:
+    """Mask (c, k) of the levels that chain i of a stack of boolean supports
+    (c, k, k) reaches from level ``sources[i]``, the source included.
 
-    Warshall's closure runs on rows packed into 64-bit words, one pass per
-    level over the whole stack. Level i lies in a closed class iff no level
-    j has a path i -> j without one j -> i. Returns which levels lie in a
-    closed class, (c, k), and how many closed classes each chain has, (c,).
+    Every chain steps as ``_reach`` does, by the rows of the levels that its
+    last step found, so a chain whose last step found none is done. Pass the
+    transposed stack to find the levels that reach each source.
     """
-    c, k, _ = support.shape
-    packed = np.zeros((c, k, 8 * -(-k // 64)), dtype=np.uint8)
-    packed[..., :-(-k // 8)] = np.packbits(support | np.eye(k, dtype=bool), axis=2,
-                                           bitorder="little")
-    reach = packed.view("<u8")  # bit m of row i: a path from i to m
-    for m in range(k):
-        word, bit = divmod(m, 64)
-        through = (reach[:, :, word] >> np.uint64(bit)) & np.uint64(1)
-        reach |= through[:, :, None] * reach[:, m, None, :]
-    closure = np.unpackbits(packed, axis=2, count=k, bitorder="little").view(bool)
-    # formed in place, so that the stack peaks at one (c, k, k) temporary here
-    escapes = ~closure.transpose(0, 2, 1)
-    escapes &= closure  # a path i -> j without one j -> i
-    in_class = ~escapes.any(axis=2)
-    # a closed class is counted at its lowest level, the first level it reaches
-    lowest = in_class & (closure.argmax(axis=2) == np.arange(k))
-    return in_class, lowest.sum(axis=1)
+    seen = np.zeros(support.shape[:2], dtype=bool)
+    chains, levels = np.arange(len(seen)), np.asarray(sources)
+    seen[chains, levels] = True
+    while len(chains):
+        # the last step's new levels, in order of their chain
+        first = np.flatnonzero(np.diff(chains, prepend=-1))
+        live = chains[first]
+        found = np.logical_or.reduceat(support[chains, levels], first, axis=0) & ~seen[live]
+        seen[live] |= found
+        chains, levels = np.nonzero(found)
+        chains = live[chains]
+    return seen
 
 
 # ---------------------------------------------------------------------------

@@ -70,19 +70,12 @@ def main(argv=None) -> int:
             for msg in messages:
                 print(msg)
             return 0 if ok else 1
-        write_manifest(cfg, args.out, args.command)
-        if args.command == "solve":
-            rows = run_solve(cfg, args.out)
-        elif args.command == "search":
-            rows = run_search(cfg, args.out)
-        elif args.command == "sweep":
+        if args.command == "sweep":
             rows = run_sweep(cfg, args.out, threads=args.threads)
-        elif args.command == "simulate":
-            rows = run_simulate(cfg, args.out)
-        elif args.command == "bound":
-            rows = run_bound(cfg, args.out)
-        else:  # pragma: no cover - argparse enforces choices
-            raise EHPolicyError(f"unknown command {args.command}")
+        else:  # argparse allows no other command
+            rows = {"solve": run_solve, "search": run_search, "simulate": run_simulate,
+                    "bound": run_bound}[args.command](cfg, args.out)
+        write_manifest(cfg, args.out, args.command)  # only once the run has succeeded
         for row in rows:
             rec = row.as_record()
             status = rec["error"] or f"G={rec['g_analytic'] or 'n/a'}"

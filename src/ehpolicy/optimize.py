@@ -16,7 +16,7 @@ from .chain import (
     _closed_classes,
     _gather_block,
     _reach,
-    _stack_closed_classes,
+    _stack_reach,
     _stationary_laws,
     charge_matrix,
     consumption_vector,
@@ -42,7 +42,7 @@ from .errors import (
 # entries per stacked temporary in the censored-chain solves, and per block
 # of policy iteration's (state, action) tables
 _STACK_ENTRIES = 1 << 14
-_GROUP_BYTES = 1 << 19  # folds and censored supports of a group of last-depth prefixes
+_GROUP_BYTES = 1 << 19  # folds and reach supports of a group of last-depth prefixes
 _START_SWEEPS = 10  # value-iteration sweeps whose greedy policy starts policy iteration
 _BOUND_SWEEPS = 5  # value-iteration sweeps of a last-depth prefix's gain bound; 0 for none
 _MAX_ITERATIONS = 500  # policy-iteration steps before a cycle is reported
@@ -475,9 +475,9 @@ def _score_group(rows, start_by_action, j_by_action, folds, choices, e0) -> np.n
     """Gain from e0 of every last action of a group of prefixes, (G, |A|).
 
     Prefix g takes actions ``choices[g]`` on E, and ``folds[g]`` is its fold.
-    The closed classes of all G·|A| censored chains are found at once, and
-    their laws are solved and checked in chunks of ``_STACK_ENTRIES``
-    entries. A chain whose law is not trusted takes the class route.
+    The laws of all G·|A| censored chains are solved in chunks of
+    ``_STACK_ENTRIES`` entries, and then checked at once. A chain whose law
+    is not trusted takes the class route.
     """
     n_groups, n, width = folds.shape
     nk = width - 2
@@ -487,23 +487,29 @@ def _score_group(rows, start_by_action, j_by_action, folds, choices, e0) -> np.n
     which, act = np.divmod(np.arange(n_groups * n_acts), n_acts)
     starts = start_by_action[n - nk:].T[act]
     r_k = j_by_action[n - nk:].T
-    in_class, n_classes = _stack_closed_classes((m > _EDGE_EPS)[which[:, None], starts])
-    gains = np.full(n_groups * n_acts, np.nan)  # NaN until a trusted law scores the chain
+    pi, residual = np.empty((len(which), nk)), np.empty(len(which))
     batch = max(1, _STACK_ENTRIES // (nk * nk))
-    for lo in range(0, len(gains), batch):
-        c = lo + np.flatnonzero(n_classes[lo:lo + batch] == 1)
-        censored = m[which[c, None], starts[c]]  # gathered once
-        pi = _stationary_laws(censored)
-        # trusted if it sums to 1, is not negative, solves its chain and puts no mass
-        # off the closed class (a law on a nearly closed transient set passes the rest)
-        residual = np.abs(np.einsum("ck,ckj->cj", pi, censored) - pi).max(axis=1)
-        stray = np.where(in_class[c], 0.0, np.abs(pi)).max(axis=1)
-        good = ((pi.min(axis=1) > -1e-10) & (np.abs(pi.sum(axis=1) - 1.0) < 1e-8)
-                & (residual < 1e-10) & (stray < 1e-10))
-        c, pi = c[good], np.maximum(pi[good], 0.0)
-        g, at = which[c, None], starts[c]
-        gains[c] = (np.einsum("ck,ck->c", pi, mu[g, at] + r_k[act[c]])
-                    / np.einsum("ck,ck->c", pi, tau[g, at] + 1.0))
+    for lo in range(0, len(which), batch):
+        censored = m[which[lo:lo + batch, None], starts[lo:lo + batch]]
+        law = pi[lo:lo + batch] = _stationary_laws(censored)
+        residual[lo:lo + batch] = np.abs(np.einsum("ck,ckj->cj", law, censored) - law).max(axis=1)
+    # trusted if every level reaches the law's heaviest level a, so that the chain has
+    # one closed class and a lies in it, and the law sums to 1, is not negative, solves
+    # its chain and puts no mass off the levels that a reaches, that class (a law on a
+    # nearly closed transient set passes the rest). A law that passes the other checks
+    # on the one closed class has its heaviest level there, so the same chains are
+    # trusted as when that class is found first.
+    support = (m > _EDGE_EPS)[which[:, None], starts]
+    heaviest = pi.argmax(axis=1)
+    stray = np.where(_stack_reach(support, heaviest), 0.0, np.abs(pi)).max(axis=1)
+    good = (_stack_reach(support.transpose(0, 2, 1), heaviest).all(axis=1)
+            & (pi.min(axis=1) > -1e-10) & (np.abs(pi.sum(axis=1) - 1.0) < 1e-8)
+            & (residual < 1e-10) & (stray < 1e-10))
+    c, pi = np.flatnonzero(good), np.maximum(pi[good], 0.0)
+    g, at = which[c, None], starts[c]
+    gains = np.full(n_groups * n_acts, np.nan)  # NaN until a trusted law scores the chain
+    gains[c] = (np.einsum("ck,ck->c", pi, mu[g, at] + r_k[act[c]])
+                / np.einsum("ck,ck->c", pi, tau[g, at] + 1.0))
     for i in np.flatnonzero(np.isnan(gains)):
         gains[i] = _class_gain(rows, start_by_action, j_by_action, choices[which[i]], act[i], e0)
     return gains.reshape(n_groups, n_acts)

@@ -31,7 +31,7 @@ from ehpolicy.chain import (
     _closed_classes,
     _level_tables,
     _reach,
-    _stack_closed_classes,
+    _stack_reach,
     charge_matrix,
 )
 from ehpolicy.core import arrival_model_from_pmf
@@ -111,7 +111,7 @@ def scipy_classes(support):
 
 class TestGraphKernels:
     """The NumPy reach and closed-class kernels against scipy's graph routines and a
-    brute-force boolean closure; k = 63, 64, 65 and 130 straddle the 64-bit words."""
+    brute-force boolean closure."""
 
     SIZES = (1, 2, 5, 63, 64, 65, 130)
 
@@ -143,15 +143,43 @@ class TestGraphKernels:
             assert np.array_equal(np.sort(np.concatenate(got)), np.flatnonzero(in_class))
 
     @pytest.mark.parametrize("k", SIZES)
-    def test_closed_classes_of_a_stack(self, k):
-        rng = np.random.default_rng(200 + k)
+    def test_stack_reach(self, k):
+        rng = np.random.default_rng(300 + k)
         stack = np.array([random_support(rng, k) for _ in range(9)])
-        in_class, n_classes = _stack_closed_classes(stack)
-        assert in_class.shape == (9, k) and n_classes.shape == (9,)
-        for support, levels, count in zip(stack, in_class, n_classes):
-            want = scipy_classes(support)
-            assert count == len(want)
-            assert np.array_equal(np.flatnonzero(levels), np.sort(np.concatenate(want)))
+        sources = rng.integers(k, size=9)
+        ahead = _stack_reach(stack, sources)
+        behind = _stack_reach(stack.transpose(0, 2, 1), sources)
+        assert ahead.shape == behind.shape == (9, k)
+        for support, u, forward, backward in zip(stack, sources, ahead, behind):
+            assert np.array_equal(forward, _reach(support, u))
+            assert np.array_equal(backward, _reach(support.T, u))
+
+    @pytest.mark.parametrize("k", SIZES)
+    def test_closed_classes_of_a_stack(self, k):
+        # every level reaches level a iff the chain has exactly one closed class
+        # and a lies in it, and a then reaches that class: the search's trust rule
+        rng = np.random.default_rng(200 + k)
+        stack = [random_support(rng, k) for _ in range(9)]
+        for support in stack[:9]:
+            # the same chain with one closed class: the others now leave for it
+            one_class = support.copy()
+            first, *others = scipy_classes(support)
+            for levels in others:
+                one_class[levels[0], first[0]] = True
+            stack.append(one_class)
+        stack = np.array(stack)
+        classes = [scipy_classes(support) for support in stack]
+        # a random level of each chain, then a random level of one of its closed classes
+        sources = np.concatenate([rng.integers(k, size=len(stack)),
+                                  [rng.choice(c[rng.integers(len(c))]) for c in classes]])
+        stack, classes = np.concatenate([stack, stack]), classes * 2
+        one = _stack_reach(stack.transpose(0, 2, 1), sources).all(axis=1)
+        ahead = _stack_reach(stack, sources)
+        for a, want, verdict, levels in zip(sources, classes, one, ahead):
+            assert verdict == (len(want) == 1 and a in want[0])
+            if verdict:
+                assert np.array_equal(np.flatnonzero(levels), want[0])
+        assert one.any() and (k == 1 or not one.all())
 
     def test_known_shapes(self):
         # 0 -> 1 <-> 2 is one class behind a transient level; 3 -> 4 -> 3 is a
@@ -160,11 +188,17 @@ class TestGraphKernels:
         for i, j in ((0, 1), (1, 2), (2, 1), (3, 4), (4, 3), (5, 5), (6, 5), (6, 6)):
             support[i, j] = True
         assert [c.tolist() for c in _closed_classes(support)] == [[1, 2], [3, 4], [5]]
-        in_class, n_classes = _stack_closed_classes(support[None])
-        assert in_class[0].tolist() == [False, True, True, True, True, True, False]
-        assert n_classes.tolist() == [3]
         assert np.flatnonzero(_reach(support, 0)).tolist() == [0, 1, 2]
         assert np.flatnonzero(_reach(support.T, 5)).tolist() == [5, 6]
+        # with three closed classes no level is reached from every level; on
+        # 0 -> 1 <-> 2 alone, 1 and 2 are, and each reaches just {1, 2}
+        stack = np.repeat(support[None], 7, axis=0)
+        assert not _stack_reach(stack.transpose(0, 2, 1), np.arange(7)).all(axis=1).any()
+        stack = np.repeat(support[None, :3, :3], 3, axis=0)
+        assert _stack_reach(stack.transpose(0, 2, 1), np.arange(3)).all(axis=1).tolist() == [
+            False, True, True]
+        assert _stack_reach(stack, np.arange(3)).tolist() == [
+            [True, True, True], [False, True, True], [False, True, True]]
 
 
 class TestPartition:

@@ -426,6 +426,20 @@ class TestCli:
         assert "315MHz" in err and "battery.quantum_joules" in err
         assert not (out / "results.csv").exists()
 
+    @pytest.mark.parametrize("command", ["solve", "search", "simulate", "bound"])
+    def test_failed_run_leaves_no_manifest(self, tmp_path, capsys, command):
+        # the empty device table fails only when the models are built; the
+        # manifest used to be written before that, and stayed behind alone
+        data = yaml.safe_load(SMALL_YAML)
+        data["battery"]["quantum_joules"] = 1.0
+        data["consumption"] = {"kind": "device", "band": "315MHz"}
+        path = tmp_path / "device.yaml"
+        path.write_text(yaml.safe_dump(data), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 2
+        assert "battery.quantum_joules" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_policy_sources_match_sweep_rows(self, small_config, tmp_path):
         assert set(harness.POLICY_MAKERS) == set(_POLICY_SOURCES)
         base = yaml.safe_load(SMALL_YAML)
