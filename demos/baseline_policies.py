@@ -35,7 +35,7 @@ partition = Partition.uniform(100, 2)
 
 
 def gain(policy):
-    return evaluate_policy(battery, arrivals, cons, reward, policy).long_run_reward
+    return evaluate_policy(battery, arrivals, cons, reward, policy)
 
 
 print("Perfect charge knowledge: policy iteration over 101 actions...")

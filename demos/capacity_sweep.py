@@ -46,8 +46,7 @@ with warnings.catch_warnings():
         bound = upper_bound(battery, arrivals, reward)
 
         def gain(policy):
-            return evaluate_policy(battery, arrivals, cons, reward,
-                                   policy).long_run_reward
+            return evaluate_policy(battery, arrivals, cons, reward, policy)
 
         g_lcp = gain(derive_lcp(perfect, cons, partition, actions))
         g_bp = gain(derive_bp(partition, bound, actions, cons))

@@ -5,7 +5,6 @@ observed only through a coarse partition."""
 __version__ = "0.1.0"
 
 from .chain import (  # noqa: F401
-    ChainAnalysis,
     Partition,
     PartitionPolicy,
     SimulationReport,

@@ -281,19 +281,6 @@ def _gather_block(rows: np.ndarray, starts: np.ndarray, levels: np.ndarray) -> n
 # Long-run average reward
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ChainAnalysis:
-    """A policy's chain from one initial level.
-
-    ``stationary[e]`` is the limiting share of frames spent at level e (0 at
-    the levels never reached), and ``long_run_reward`` the reward per frame
-    it earns.
-    """
-
-    stationary: np.ndarray
-    long_run_reward: float
-
-
 def _check_stochastic(transition: np.ndarray) -> np.ndarray:
     p = np.asarray(transition, dtype=float)
     if p.ndim != 2 or p.shape[0] != p.shape[1]:
@@ -327,11 +314,11 @@ def exact_occupation(rows: np.ndarray, starts, e0: int) -> np.ndarray:
     e0 = int(np.searchsorted(levels, e0))
     classes = _closed_classes(p > _EDGE_EPS)
 
-    home = [c for c in classes if e0 in c]
-    if home or len(classes) == 1:
+    if len(classes) == 1:
         # absorption is certain, so the lone reachable recurrent class gets
-        # weight 1 without solving the (possibly ill-conditioned) transient block
-        weights = [((home or classes)[0], 1.0)]
+        # weight 1 without solving the (possibly ill-conditioned) transient block;
+        # so does a class holding e0, since every level reached lies in it
+        weights = [(classes[0], 1.0)]
     else:
         trans = np.setdiff1d(np.arange(len(p)), np.concatenate(classes))
         q = p[np.ix_(trans, trans)]
@@ -356,13 +343,12 @@ def exact_occupation(rows: np.ndarray, starts, e0: int) -> np.ndarray:
 
 
 def evaluate_policy(battery: BatteryModel, arrivals: ArrivalModel, cons: ConsumptionMap,
-                    reward: RewardModel, policy: Policy, e0: int = 0) -> ChainAnalysis:
-    """Limiting occupation and average reward of a policy's chain from ``e0``,
-    by ``exact_occupation`` on the charge matrix; no n x n transition matrix
-    is formed."""
+                    reward: RewardModel, policy: Policy, e0: int = 0) -> float:
+    """Long-run average reward per frame of a policy's chain from ``e0``: the
+    limiting occupation of ``exact_occupation`` on the charge matrix, times
+    the reward of each level; no n x n transition matrix is formed."""
     starts, state_reward = _level_tables(cons, reward, policy, battery.e_max)
-    pi = exact_occupation(charge_matrix(battery, arrivals), starts, e0)
-    return ChainAnalysis(stationary=pi, long_run_reward=float(pi @ state_reward))
+    return float(exact_occupation(charge_matrix(battery, arrivals), starts, e0) @ state_reward)
 
 
 # ---------------------------------------------------------------------------

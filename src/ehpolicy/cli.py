@@ -9,7 +9,6 @@ import sys
 from .config import ScenarioConfig
 from .errors import EHPolicyError
 from .harness import (
-    check_threads,
     run_bound,
     run_search,
     run_simulate,
@@ -30,7 +29,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, help_text in (
             ("solve", "optimal per-state policy (perfect charge knowledge)"),
             ("search", "per-subset policy search (coarse observation): exhaustive, "
-                       "or two-stage above search.refine_above subsets"),
+                       "or two-stage if |A|^N exceeds search.budget"),
             ("sweep", "evaluate policies and bounds over sweep axes"),
             ("simulate", "Monte Carlo cross-check of the analytic reward"),
             ("bound", "storage-aware throughput upper bound"),
@@ -39,10 +38,13 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", help="path to a YAML scenario config")
         cmd.add_argument("--preset", choices=preset_names(),
                          help="named built-in scenario")
+        if name == "validate":
+            continue  # it writes and draws nothing
         cmd.add_argument("--out", default="out", help="output directory")
         cmd.add_argument("--seed", type=int, help="override the config seed")
-        cmd.add_argument("--threads", type=int, default=1,
-                         help="worker processes for sweep points (1 to the CPU count)")
+        if name == "sweep":
+            cmd.add_argument("--threads", type=int, default=1,
+                             help="worker processes for sweep points (1 to the CPU count)")
     return parser
 
 
@@ -55,7 +57,7 @@ def _load_config(args) -> ScenarioConfig:
         cfg = get_preset(args.preset)
     else:
         raise EHPolicyError("one of --config or --preset is required")
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:  # validate takes no --seed
         cfg = dataclasses.replace(cfg, seed=args.seed)  # re-runs the config checks
     return cfg
 
@@ -63,7 +65,6 @@ def _load_config(args) -> ScenarioConfig:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        check_threads(args.threads)  # every subcommand takes it; only sweep uses it
         cfg = _load_config(args)
         if args.command == "validate":
             ok, messages = run_validate(cfg)

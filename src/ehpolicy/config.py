@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-import math
 import numbers
+import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import yaml
@@ -44,11 +44,14 @@ def _check_int(name: str, value, lowest: int, optional: bool = False):
 
 
 def _check_number(name: str, value, optional: bool = False):
-    """Raise ConfigurationError unless ``value`` is a real number (or None, if optional)."""
+    """Raise ConfigurationError unless ``value`` is a real number that a float
+    holds finitely (or None, if optional): NaN, ±inf and an integer too large
+    for a float all fail."""
     if optional and value is None:
         return
-    if not isinstance(value, numbers.Real) or isinstance(value, bool):
-        raise ConfigurationError(f"{name} must be a number, got {value!r}")
+    if (not isinstance(value, numbers.Real) or isinstance(value, bool)
+            or not abs(value) <= sys.float_info.max):
+        raise ConfigurationError(f"{name} must be a finite number, got {value!r}")
 
 
 def _check_entries(name: str, values, check, *args):
@@ -88,7 +91,7 @@ class BatteryConfig:
         for name in ("frame_length", "slot_length", "quantum_joules"):
             value = getattr(self, name)
             _check_number(f"battery.{name}", value)
-            if not 0 < value < math.inf:
+            if value <= 0:
                 raise ConfigurationError(f"battery.{name} must be positive, got {value!r}")
         if self.slot_length >= self.frame_length:
             raise ConfigurationError(
@@ -255,15 +258,13 @@ class SweepConfig:
 
 @dataclass
 class SearchConfig:
-    budget: int = 10 ** 7
-    refine_above: int | None = None  # two-stage search for partitions larger than this
+    budget: int = 10 ** 7  # candidates of one exhaustive search; larger grids run in two stages
 
     def __post_init__(self):
         _check_int("search.budget", self.budget, 1)
         if self.budget > _MAX_BUDGET:
             raise ConfigurationError(
                 f"search.budget must be at most {_MAX_BUDGET}, got {self.budget}")
-        _check_int("search.refine_above", self.refine_above, 0, optional=True)
 
 
 @dataclass

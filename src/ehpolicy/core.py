@@ -55,8 +55,8 @@ class QuadraticCapacitor:
     beta_nl: float
 
     def __post_init__(self):
-        if not self.beta_nl > 1.0:
-            raise DomainError(f"beta_nl must be > 1, got {self.beta_nl}")
+        if not 1.0 < self.beta_nl < math.inf:
+            raise DomainError(f"beta_nl must be finite and > 1, got {self.beta_nl}")
 
 
 @dataclass(frozen=True)
@@ -223,8 +223,8 @@ class ArrivalModel:
     def __post_init__(self):
         pmf = tuple(float(p) for p in self.pmf)
         object.__setattr__(self, "pmf", pmf)
-        if any(p < 0.0 for p in pmf):
-            raise DomainError("pmf entries must be nonnegative")
+        if not all(0.0 <= p < math.inf for p in pmf):
+            raise DomainError("pmf entries must be finite and nonnegative")
         if abs(sum(pmf) - 1.0) > 1e-12:
             raise DomainError("pmf must sum to 1 within 1e-12")
 
@@ -245,9 +245,11 @@ class ArrivalModel:
 
 def arrival_model_from_pmf(pmf) -> ArrivalModel:
     pmf = np.asarray(pmf, dtype=float)
+    if not np.isfinite(pmf).all():
+        raise DomainError("pmf entries must be finite")
     total = pmf.sum()
-    if total <= 0:
-        raise DomainError("pmf must have positive mass")
+    if not 0 < total < math.inf:
+        raise DomainError("pmf must have positive, finite mass")
     return ArrivalModel(pmf=tuple(pmf / total))
 
 
@@ -341,8 +343,8 @@ class LogSnrReward:
     snr_scale: float
 
     def __post_init__(self):
-        if self.snr_scale <= 0:
-            raise DomainError("snr_scale must be positive")
+        if not 0 < self.snr_scale < math.inf:
+            raise DomainError("snr_scale must be positive and finite")
 
     def rate(self, rho):
         return np.log1p(self.snr_scale * np.asarray(rho, dtype=float))
@@ -366,8 +368,8 @@ class ShannonReward:
     def __post_init__(self):
         for name in ("bandwidth_w", "noise_density_n0", "channel_h",
                      "slot_length_delta", "frame_length_t", "quantum_joules"):
-            if getattr(self, name) <= 0:
-                raise DomainError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise DomainError(f"{name} must be positive and finite")
 
     @property
     def duty(self) -> float:

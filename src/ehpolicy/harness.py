@@ -125,11 +125,13 @@ def build_models(cfg: ScenarioConfig, e_max: int | None = None,
 
 
 def _run_search(cfg: ScenarioConfig, models: BuiltScenario, partition: Partition):
-    m, search = models, cfg.search
+    """The exhaustive search, or the two-stage one if its |A|^N candidates
+    exceed ``search.budget``."""
+    m, budget = models, cfg.search.budget
     args = (m.battery, m.arrivals, m.cons, m.reward, m.actions, partition)
-    if search.refine_above is not None and partition.n_subsets > search.refine_above:
-        return refine_partition_search(*args, budget=search.budget)
-    return search_partition_policy(*args, budget=search.budget)
+    if len(m.actions) ** partition.n_subsets > budget:
+        return refine_partition_search(*args, budget=budget)
+    return search_partition_policy(*args, budget=budget)
 
 
 @dataclass
@@ -156,7 +158,7 @@ class _Point:
 
     def evaluate(self, policy) -> float:
         m = self.models
-        return evaluate_policy(m.battery, m.arrivals, m.cons, m.reward, policy).long_run_reward
+        return evaluate_policy(m.battery, m.arrivals, m.cons, m.reward, policy)
 
 
 def _perfect(point: _Point) -> StatePolicy:
@@ -266,15 +268,10 @@ def _sweep_point(args):
     return rows
 
 
-def check_threads(threads: int) -> None:
-    """Raise unless ``threads`` worker processes lie between 1 and the CPU count."""
+def run_sweep(cfg: ScenarioConfig, out_dir, threads: int = 1) -> list:
     limit = os.cpu_count() or 1
     if not 1 <= threads <= limit:
         raise EHPolicyError(f"--threads counts worker processes, 1 to {limit}; got {threads}")
-
-
-def run_sweep(cfg: ScenarioConfig, out_dir, threads: int = 1) -> list:
-    check_threads(threads)
     e_values = cfg.sweep.e_max or [cfg.battery.e_max]
     bands = cfg.sweep.bands or [cfg.consumption.band]
     points = [(cfg, e, band) for band in bands for e in e_values]

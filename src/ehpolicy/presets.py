@@ -88,7 +88,7 @@ def _fig3() -> ScenarioConfig:
     cfg = _baseline()
     cfg.scenario = "fig3"
     cfg.sweep = SweepConfig(n_subsets=[1, 2, 3])
-    cfg.search = SearchConfig(refine_above=2)
+    cfg.search = SearchConfig(budget=10 ** 6)  # so the N=3 grid, 101^3, runs in two stages
     return cfg
 
 

@@ -97,7 +97,7 @@ def test_criterion_1_storage_curve():
 @criterion(2, "baseline reward regression")
 def test_criterion_2_baseline_rewards():
     op_rp = solve_perfect_soc(BASELINE, GEOM20, CONS, REWARD, FULL_GRID)
-    g_rp = evaluate_policy(BASELINE, GEOM20, CONS, REWARD, op_rp).long_run_reward
+    g_rp = evaluate_policy(BASELINE, GEOM20, CONS, REWARD, op_rp)
     g1 = search_partition_policy(BASELINE, GEOM20, CONS, REWARD, GRID51,
                                  Partition.uniform(100, 1)).best_reward
     g2 = search_partition_policy(BASELINE, GEOM20, CONS, REWARD, FULL_GRID,
@@ -138,7 +138,7 @@ def test_criterion_4_bound_dominance():
 
         perfect = solve_perfect_soc(battery, arrivals, CONS, reward, acts)
         g_perfect = evaluate_policy(battery, arrivals, CONS, reward,
-                                    perfect).long_run_reward
+                                    perfect)
         bound = upper_bound(battery, arrivals, reward)
         g_ideal = float(reward.rate(arrivals.mean_b))
 
@@ -150,7 +150,7 @@ def test_criterion_4_bound_dominance():
         ]
         for policy in candidates:
             g = evaluate_policy(battery, arrivals, CONS, reward,
-                                policy).long_run_reward
+                                policy)
             assert g <= g_perfect + 1e-8
         assert g_perfect <= bound.g_ub + 1e-8
         assert bound.g_ub <= g_ideal + 1e-8
@@ -185,7 +185,7 @@ def test_criterion_7_oracles():
     for battery, arrivals, acts in instances:
         policy = solve_perfect_soc(battery, arrivals, CONS, REWARD, acts)
         g_rvi = evaluate_policy(battery, arrivals, CONS, REWARD,
-                                policy).long_run_reward
+                                policy)
         g_search = search_partition_policy(
             battery, arrivals, CONS, REWARD, acts,
             Partition(battery.e_max, tuple(range(battery.e_max + 1)))).best_reward
@@ -197,10 +197,10 @@ def test_criterion_7_oracles():
     acts = ActionSet((0, 1))
     best = max(
         evaluate_policy(bat, arr, CONS, REWARD,
-                        StatePolicy(actions=combo)).long_run_reward
+                        StatePolicy(actions=combo))
         for combo in itertools.product((0, 1), repeat=3))
     policy = solve_perfect_soc(bat, arr, CONS, REWARD, acts)
-    got = evaluate_policy(bat, arr, CONS, REWARD, policy).long_run_reward
+    got = evaluate_policy(bat, arr, CONS, REWARD, policy)
     assert got == pytest.approx(best, abs=1e-9)
 
     # (c) integrator vs the separable-ODE closed form on a 100-point grid
@@ -219,10 +219,10 @@ def test_criterion_8_monte_carlo():
         low = int(rng.integers(0, arrivals.b_max // 2 + 1))
         high = int(rng.integers(low, arrivals.b_max + 1))
         policy = PartitionPolicy(partition=part, actions=(low, high))
-        analysis = evaluate_policy(battery, arrivals, CONS, reward, policy)
+        analytic = evaluate_policy(battery, arrivals, CONS, reward, policy)
         report = simulate(battery, arrivals, CONS, reward, policy,
                           frames=10 ** 6, seed=1000 + k)
-        gap = abs(report.empirical_reward - analysis.long_run_reward)
+        gap = abs(report.empirical_reward - analytic)
         assert gap <= 3 * max(report.std_error, 1e-12)
 
 
@@ -242,10 +242,10 @@ def test_criterion_9_sweep_shapes():
             bound = upper_bound(battery, GEOM20, REWARD)
             g_lcp = evaluate_policy(
                 battery, GEOM20, CONS, REWARD,
-                derive_lcp(perfect, CONS, part, acts)).long_run_reward
+                derive_lcp(perfect, CONS, part, acts))
             g_bp = evaluate_policy(
                 battery, GEOM20, CONS, REWARD,
-                derive_bp(part, bound, acts, CONS)).long_run_reward
+                derive_bp(part, bound, acts, CONS))
             if e_max >= 200:
                 assert g_lcp < 0.25 * g_ri
             if e_max <= 30:

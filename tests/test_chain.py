@@ -383,9 +383,8 @@ class TestLongRunAverage:
             transition, reward = build_chain(BASELINE, GEOM20, CONS, REWARD, policy)
             for e0 in (0, 37, 100):
                 pi = exact_occupation(transition, np.arange(101), e0)
-                analysis = evaluate_policy(BASELINE, GEOM20, CONS, REWARD, policy, e0)
-                assert np.array_equal(analysis.stationary, pi)
-                assert analysis.long_run_reward == float(pi @ reward)
+                gain = evaluate_policy(BASELINE, GEOM20, CONS, REWARD, policy, e0)
+                assert gain == float(pi @ reward)
 
     def test_peak_memory_of_a_large_evaluation(self, large_policy):
         # no n x n transition matrix is formed; the charge matrix is cached
@@ -430,10 +429,10 @@ class TestSimulate:
     def test_matches_analytic_within_three_se(self):
         part = Partition.uniform(100, 2)
         policy = PartitionPolicy(partition=part, actions=(4, 26))
-        analysis = evaluate_policy(BASELINE, GEOM20, CONS, REWARD, policy)
+        analytic = evaluate_policy(BASELINE, GEOM20, CONS, REWARD, policy)
         report = simulate(BASELINE, GEOM20, CONS, REWARD, policy,
                           frames=10 ** 6, seed=123)
-        assert abs(report.empirical_reward - analysis.long_run_reward) \
+        assert abs(report.empirical_reward - analytic) \
             <= 3 * report.std_error
 
     @staticmethod

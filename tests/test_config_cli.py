@@ -16,7 +16,7 @@ from ehpolicy.config import _POLICY_SOURCES, ActionConfig, PartitionConfig
 from ehpolicy.core import DeviceTableConsumption, IdentityConsumption
 from ehpolicy.errors import ConfigurationError
 from ehpolicy.harness import RESULT_COLUMNS, build_models
-from ehpolicy.optimize import search_partition_policy
+from ehpolicy.optimize import refine_partition_search, search_partition_policy
 from ehpolicy.presets import device_consumption_table
 
 SMALL_YAML = """\
@@ -80,10 +80,12 @@ class TestConfig:
             ScenarioConfig.from_dict({"battery": {"e_max": 10, "integration_steps": 256}})
 
     @pytest.mark.parametrize("section,key,value", [("actions", "from_device", True),
-                                                   ("search", "coarse_step", 4)])
+                                                   ("search", "coarse_step", 4),
+                                                   ("search", "refine_above", 2)])
     def test_removed_keys_are_unknown(self, tmp_path, capsys, section, key, value):
-        # a device table fixes the tx levels by itself, and the two-stage search's
-        # coarse step is a constant, so a config that still sets either key fails
+        # a device table fixes the tx levels by itself, the two-stage search's
+        # coarse step is a constant, and search.budget alone decides when the
+        # search runs in two stages, so a config that still sets a key fails
         with pytest.raises(ConfigurationError, match=rf"{section}: unknown keys \['{key}'\]"):
             ScenarioConfig.from_dict({section: {key: value}})
         data = yaml.safe_load(SMALL_YAML)
@@ -180,6 +182,21 @@ def _stable_rows(out_dir):
     """Result rows minus the wall-clock column, which varies run to run."""
     return [{k: v for k, v in row.items() if k != "wall_time_s"}
             for row in _read_results(out_dir)]
+
+
+def out_flags(command, out):
+    """``--out out`` for every command but validate, which writes nothing."""
+    return [] if command == "validate" else ["--out", str(out)]
+
+
+def assert_refused(argv, flag, capsys):
+    """``argv`` is refused by argparse, with exit code 2, for naming ``flag``."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr()
+    assert f"unrecognized arguments: {flag}" in err.err
+    assert err.out == ""
 
 
 class TestCli:
@@ -319,17 +336,31 @@ class TestCli:
                                          "validate"])
     def test_threads_checked_for_every_command(self, small_config, tmp_path, capsys,
                                                monkeypatch, command, threads):
+        # sweep checks the count before any pool starts; every other command
+        # takes no --threads, so argparse refuses it
         def no_pool(*args, **kwargs):
             raise AssertionError("a process pool was created")
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         out = tmp_path / "out"
-        assert main([command, "--config", str(small_config), "--out", str(out),
-                     "--threads", str(threads)]) == 2
-        err = capsys.readouterr()
-        assert "worker processes" in err.err
-        assert err.out == ""
+        argv = [command, "--config", str(small_config), *out_flags(command, out),
+                "--threads", str(threads)]
+        if command == "sweep":
+            assert main(argv) == 2
+            err = capsys.readouterr()
+            assert "worker processes" in err.err
+            assert err.out == ""
+        else:
+            assert_refused(argv, "--threads", capsys)
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag,value", [("--out", "out"), ("--seed", "3")])
+    def test_validate_refuses_out_and_seed(self, small_config, tmp_path, capsys, monkeypatch,
+                                           flag, value):
+        # validate writes and draws nothing
+        monkeypatch.chdir(tmp_path)
+        assert_refused(["validate", "--config", str(small_config), flag, value], flag, capsys)
+        assert list(tmp_path.iterdir()) == [small_config]  # no output directory
 
     @pytest.mark.parametrize("bad,flags", [
         ("frames: 1.5", []), ("frames: abc", []), ("frames: true", []),
@@ -359,8 +390,8 @@ class TestCli:
         ("actions", "max_power", 2.5), ("actions", "max_power", -1),
         ("partition", "n_subsets", 1.5), ("partition", "n_subsets", 0),
         ("search", "budget", "abc"), ("search", "budget", 1.5), ("search", "budget", 0),
-        ("search", "refine_above", 1.5), ("search", "refine_above", -1),
-        ("search", "refine_above", "abc"), ("search", "budget", True),
+        ("battery", "beta_nl", float("inf")), ("reward", "snr_scale", float("inf")),
+        ("reward", "bandwidth", float("inf")), ("search", "budget", True),
         ("sweep", "e_max", [10.5]), ("sweep", "e_max", [20, 0]), ("sweep", "e_max", 20),
         ("sweep", "n_subsets", [1.5]), ("sweep", "n_subsets", [0]),
         ("sweep", "n_subsets", 2), ("sweep", "bands", "868MHz"),
@@ -377,7 +408,13 @@ class TestCli:
         ("battery", "quantum_joules", 0), ("battery", "quantum_joules", -1e-5),
         ("battery", "quantum_joules", float("inf")), ("battery", "frame_length", 0),
         ("battery", "frame_length", 0.001), ("battery", "slot_length", -0.005),
-        ("battery", "slot_length", 1.0), ("battery", "slot_length", float("nan"))])
+        ("battery", "slot_length", 1.0), ("battery", "slot_length", float("nan")),
+        ("arrivals", "pmf", [float("nan"), 1.0]), ("arrivals", "pmf", [float("inf"), 1.0]),
+        ("battery", "beta_nl", float("nan")), ("battery", "eta", float("-inf")),
+        ("arrivals", "mean", float("nan")), ("reward", "noise_density", float("nan")),
+        ("battery", "values", [0.5, float("inf")]),
+        pytest.param("battery", "beta_nl", 10 ** 400, id="battery-beta_nl-huge_int"),
+        pytest.param("reward", "snr_scale", 10 ** 400, id="reward-snr_scale-huge_int")])
     def test_bad_numeric_field_fails_before_searching(self, tmp_path, capsys, monkeypatch,
                                                       section, key, bad):
         # a section of None is a top-level field
@@ -407,7 +444,7 @@ class TestCli:
         path = tmp_path / "device.yaml"
         path.write_text(yaml.safe_dump(data), encoding="utf-8")
         out = tmp_path / "out"
-        assert main([command, "--config", str(path), "--out", str(out)]) == 2
+        assert main([command, "--config", str(path), *out_flags(command, out)]) == 2
         assert "battery.quantum_joules must be positive" in capsys.readouterr().err
         assert not out.exists()
 
@@ -421,7 +458,7 @@ class TestCli:
         path = tmp_path / "device.yaml"
         path.write_text(yaml.safe_dump(data), encoding="utf-8")
         out = tmp_path / "out"
-        assert main([command, "--config", str(path), "--out", str(out)]) == 2
+        assert main([command, "--config", str(path), *out_flags(command, out)]) == 2
         err = capsys.readouterr().err
         assert "315MHz" in err and "battery.quantum_joules" in err
         assert not (out / "results.csv").exists()
@@ -510,6 +547,37 @@ class TestCli:
             assert row["g_analytic"] == f"{want.best_reward:.12g}"
             gains.add(row["g_analytic"])
         assert len(gains) == 2
+
+    @pytest.mark.parametrize("budget,called", [
+        (35, "two-stage"), (36, "exhaustive"), (37, "exhaustive")])
+    def test_grid_over_the_budget_runs_in_two_stages(self, small_config, monkeypatch,
+                                                     budget, called):
+        # the small config's grid is 6 actions on 2 subsets, 36 candidates
+        calls = []
+        for name, route in (("refine_partition_search", "two-stage"),
+                            ("search_partition_policy", "exhaustive")):
+            monkeypatch.setattr(harness, name, lambda *a, route=route, **k: calls.append(route))
+        cfg = ScenarioConfig.load(small_config)
+        cfg.search.budget = budget
+        models = build_models(cfg)
+        harness._run_search(cfg, models, cfg.partition.build(models.battery.e_max))
+        assert calls == [called]
+
+    def test_search_over_the_budget_whose_stages_fit_it(self, tmp_path):
+        # 21 actions on 2 subsets are 441 candidates, over a budget of 400; the
+        # coarse stage scores 6^2 and the fine one at most 19^2
+        data = yaml.safe_load(SMALL_YAML)
+        data["actions"] = {"max_power": 20}
+        data["search"] = {"budget": 400}
+        path = tmp_path / "over.yaml"
+        path.write_text(yaml.safe_dump(data), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["search", "--config", str(path), "--out", str(out)]) == 0
+        m = build_models(ScenarioConfig.load(path))
+        want = refine_partition_search(m.battery, m.arrivals, m.cons, m.reward, m.actions,
+                                       Partition.uniform(20, 2), budget=400)
+        (row,) = _read_results(out)
+        assert row["g_analytic"] == f"{want.best_reward:.12g}"
 
     def test_cli_import_leaves_out_scipy_sparse(self):
         # the graph kernels are NumPy; importing scipy.sparse roughly doubles set-up

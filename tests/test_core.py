@@ -15,6 +15,7 @@ from ehpolicy import (
     IdentityConsumption,
     LogSnrReward,
     QuadraticCapacitor,
+    ShannonReward,
     TabulatedEfficiency,
     battery_step,
     efficiency_at,
@@ -359,3 +360,23 @@ class TestRewardShape:
 
         with pytest.raises(DomainError):
             check_reward_shape(Quadratic(), 100)
+
+
+SHANNON = dict(bandwidth_w=2e6, noise_density_n0=10 ** -20.4, channel_h=3e-13,
+               slot_length_delta=0.005, frame_length_t=1.0, quantum_joules=1e-5)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("make", [
+    lambda x: QuadraticCapacitor(beta_nl=x),
+    lambda x: LogSnrReward(snr_scale=x),
+    lambda x: ShannonReward(**{**SHANNON, "bandwidth_w": x}),
+    lambda x: ShannonReward(**{**SHANNON, "channel_h": x}),
+    lambda x: ArrivalModel(pmf=(x, 1.0)),
+    lambda x: arrival_model_from_pmf([x, 1.0])],
+    ids=["beta_nl", "snr_scale", "bandwidth", "channel_h", "pmf", "pmf_weights"])
+def test_non_finite_value_is_refused(make, bad):
+    # an infinite beta_nl used to give NaN levels, an infinite scale an
+    # infinite gain, and a NaN or infinite pmf weight a zero gain
+    with pytest.raises(DomainError):
+        make(bad)

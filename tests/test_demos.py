@@ -1,8 +1,12 @@
-"""Every name a demo imports from ``ehpolicy`` exists, and every name the package
-exports is used by the package or a demo; the demos themselves are not run."""
+"""Every demo runs to exit code 0 in a fresh interpreter, every name a demo
+imports from ``ehpolicy`` exists, and every name the package exports is used
+by the package or a demo."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -33,6 +37,14 @@ def test_demo_imports_exist(path):
     missing = [f"{module}.{name}" for module, name in imports
                if not hasattr(importlib.import_module(module), name)]
     assert not missing, f"{path.name} imports names that do not exist: {missing}"
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)
+def test_demo_runs(path, tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    done = subprocess.run([sys.executable, str(path)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, f"{path.name} failed:\n{done.stderr[-2000:]}"
 
 
 def test_every_export_is_used():

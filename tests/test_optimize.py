@@ -231,9 +231,9 @@ def brute_force_best_state_policy(battery, arrivals, cons, reward, actions, e0=0
     n = battery.e_max + 1
     best = -np.inf
     for combo in itertools.product(actions.actions, repeat=n):
-        analysis = evaluate_policy(battery, arrivals, cons, reward,
+        analytic = evaluate_policy(battery, arrivals, cons, reward,
                                    StatePolicy(actions=combo), e0)
-        best = max(best, analysis.long_run_reward)
+        best = max(best, analytic)
     return best
 
 
@@ -241,8 +241,8 @@ class TestSolvePerfectSoc:
     def test_single_action_policy_is_idle(self):
         policy = solve_perfect_soc(BASELINE, GEOM20, CONS, REWARD, ActionSet((0,)))
         assert policy.actions == (0,) * 101
-        analysis = evaluate_policy(BASELINE, GEOM20, CONS, REWARD, policy)
-        assert analysis.long_run_reward == 0.0
+        analytic = evaluate_policy(BASELINE, GEOM20, CONS, REWARD, policy)
+        assert analytic == 0.0
 
     def test_matches_brute_force_on_tiny_model(self):
         # small enough to enumerate all 2^5 deterministic state policies
@@ -251,7 +251,7 @@ class TestSolvePerfectSoc:
         acts = ActionSet((0, 2))
         want = brute_force_best_state_policy(bat, arr, CONS, REWARD, acts)
         policy = solve_perfect_soc(bat, arr, CONS, REWARD, acts)
-        got = evaluate_policy(bat, arr, CONS, REWARD, policy).long_run_reward
+        got = evaluate_policy(bat, arr, CONS, REWARD, policy)
         assert got == pytest.approx(want, abs=1e-9)
 
     def test_matches_brute_force_three_actions(self):
@@ -260,7 +260,7 @@ class TestSolvePerfectSoc:
         acts = ActionSet((0, 1, 3))
         want = brute_force_best_state_policy(bat, arr, CONS, REWARD, acts)
         policy = solve_perfect_soc(bat, arr, CONS, REWARD, acts)
-        got = evaluate_policy(bat, arr, CONS, REWARD, policy).long_run_reward
+        got = evaluate_policy(bat, arr, CONS, REWARD, policy)
         assert got == pytest.approx(want, abs=1e-9)
 
     def test_never_transmits_more_than_available(self):
@@ -328,7 +328,7 @@ class TestSolvePerfectSoc:
         assert np.flatnonzero(exact_occupation(transition, np.arange(6), 0)).tolist() == [0, 2, 4]
         assert np.flatnonzero(exact_occupation(transition, np.arange(6), 1)).tolist() == [1, 3, 5]
         want = brute_force_best_state_policy(bat, arr, CONS, REWARD, acts)
-        got = evaluate_policy(bat, arr, CONS, REWARD, policy).long_run_reward
+        got = evaluate_policy(bat, arr, CONS, REWARD, policy)
         assert got == pytest.approx(want, abs=1e-12)
 
     def test_trap_level_keeps_its_own_gain(self, rvi_oracle):
@@ -343,9 +343,9 @@ class TestSolvePerfectSoc:
             policy = solve_perfect_soc(bat, arr, CONS, REWARD, acts)
         for e0 in range(4):
             want = brute_force_best_state_policy(bat, arr, CONS, REWARD, acts, e0)
-            got = evaluate_policy(bat, arr, CONS, REWARD, policy, e0).long_run_reward
+            got = evaluate_policy(bat, arr, CONS, REWARD, policy, e0)
             assert got == pytest.approx(want, abs=1e-12)
-        assert evaluate_policy(bat, arr, CONS, REWARD, policy, 1).long_run_reward > 0.0
+        assert evaluate_policy(bat, arr, CONS, REWARD, policy, 1) > 0.0
         with pytest.raises(ConvergenceError):
             rvi_oracle(bat, arr, CONS, REWARD, acts, max_sweeps=10 ** 4)
 
@@ -356,8 +356,8 @@ class TestSolvePerfectSoc:
         acts = ActionSet(tuple(range(0, arrivals.b_max + 1, max(1, arrivals.b_max // 8))))
         assert (battery.e_max, len(acts)) == (261, 10)
         models = (battery, arrivals, CONS, reward, acts)
-        got = evaluate_policy(*models[:4], solve_perfect_soc(*models)).long_run_reward
-        want = evaluate_policy(*models[:4], rvi_oracle(*models)).long_run_reward
+        got = evaluate_policy(*models[:4], solve_perfect_soc(*models))
+        want = evaluate_policy(*models[:4], rvi_oracle(*models))
         assert got == pytest.approx(want, abs=1e-12)
 
 
@@ -495,6 +495,34 @@ class TestPolicyValues:
         assert np.abs(bias - want_bias).max() <= 1e-9 * np.abs(want_bias).max()
         assert bias[cls[0]] == 0.0
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_gain_agrees_with_the_class_route(self, seed):
+        # the solve's evaluator and evaluate_policy's class route give the same
+        # gain from every start level, for random actions per level and per
+        # subset, and for (e_max, a) on two subsets, which empties the battery
+        # at every level of LOW: about half the gains are traps at 0, and some
+        # chains have two closed classes
+        rng = np.random.default_rng(seed)
+        e_max = int(rng.integers(5, 41))
+        b_max = int(rng.integers(1, 13))
+        battery = BatteryModel(e_max=e_max,
+                               efficiency=QuadraticCapacitor(float(rng.uniform(1.05, 3.0))))
+        rows = charge_matrix(battery, make_truncated_geometric(rng.uniform(0.2, 0.8) * b_max,
+                                                               b_max))
+        partition = Partition.uniform(e_max, int(rng.integers(1, 5)))
+        policies = [
+            StatePolicy(actions=tuple(rng.integers(0, b_max + 1, size=e_max + 1))),
+            PartitionPolicy(partition=partition,
+                            actions=tuple(rng.integers(0, b_max + 1, size=partition.n_subsets))),
+            PartitionPolicy(partition=Partition.uniform(e_max, 2),
+                            actions=(e_max, int(rng.integers(1, e_max + 1))))]
+        for policy in policies:
+            starts, reward = _level_tables(CONS, REWARD, policy, e_max)
+            gain = _policy_values(rows, rows > _EDGE_EPS, starts, reward)[0]
+            for e0 in range(e_max + 1):
+                want = exact_occupation(rows, starts, e0) @ reward
+                assert gain[e0] == pytest.approx(want, rel=1e-12, abs=0 if want else 1e-12)
+
     def test_transient_level_draining_into_two_classes(self):
         # the parity chain of test_multichain_policy_with_equal_class_gains, whose
         # even and odd levels are two closed classes, plus a level 6 that moves to
@@ -528,7 +556,7 @@ class TestSearchPartitionPolicy:
         arr = arrival_model_from_pmf([0.4, 0.4, 0.2])
         acts = ActionSet((0, 1, 2))
         policy = solve_perfect_soc(bat, arr, CONS, REWARD, acts)
-        g_rvi = evaluate_policy(bat, arr, CONS, REWARD, policy).long_run_reward
+        g_rvi = evaluate_policy(bat, arr, CONS, REWARD, policy)
         result = search_partition_policy(bat, arr, CONS, REWARD, acts,
                                          Partition(5, tuple(range(6))))
         assert result.evaluated_count == 3 ** 6
@@ -538,8 +566,8 @@ class TestSearchPartitionPolicy:
         part = Partition.uniform(100, 2)
         acts = ActionSet(tuple(range(0, 51, 5)))
         result = search_partition_policy(BASELINE, GEOM20, CONS, REWARD, acts, part)
-        analysis = evaluate_policy(BASELINE, GEOM20, CONS, REWARD, result.best_policy)
-        assert result.best_reward == pytest.approx(analysis.long_run_reward, abs=1e-9)
+        analytic = evaluate_policy(BASELINE, GEOM20, CONS, REWARD, result.best_policy)
+        assert result.best_reward == pytest.approx(analytic, abs=1e-9)
 
     def test_candidate_gains_are_exhaustive(self):
         part = Partition.uniform(20, 2)
@@ -605,7 +633,7 @@ class TestSearchPartitionPolicy:
         table = candidate_gains(BASELINE, GEOM20, ActionSet((0, 1, 6)), part)
         for combo, gain in table.items():
             policy = PartitionPolicy(partition=part, actions=combo)
-            want = evaluate_policy(BASELINE, GEOM20, CONS, REWARD, policy).long_run_reward
+            want = evaluate_policy(BASELINE, GEOM20, CONS, REWARD, policy)
             assert gain == pytest.approx(want, abs=1e-12)
         for last in (0, 1, 6):
             assert table[(6, last)] == pytest.approx(0.0024714513513, abs=1e-12)
@@ -627,7 +655,7 @@ class TestSearchPartitionPolicy:
         for combo, gain in table.items():
             policy = PartitionPolicy(partition=part, actions=combo)
             want = evaluate_policy(battery, arrivals, CONS, REWARD, policy,
-                                   e0).long_run_reward
+                                   e0)
             assert gain == pytest.approx(want, abs=1e-10)
             transition, state_reward = build_chain(battery, arrivals, CONS, REWARD, policy)
             g_iter, _ = power_iteration(lazy_power(transition), state_reward, e0)
@@ -642,8 +670,8 @@ class TestSearchPartitionPolicy:
             acts = ActionSet(tuple(range(0, arrivals.b_max + 1, step)))
             result = search_partition_policy(battery, arrivals, CONS, reward, acts,
                                              Partition.uniform(battery.e_max, 2))
-            analysis = evaluate_policy(battery, arrivals, CONS, reward, result.best_policy)
-            assert result.best_reward == pytest.approx(analysis.long_run_reward, abs=1e-11)
+            analytic = evaluate_policy(battery, arrivals, CONS, reward, result.best_policy)
+            assert result.best_reward == pytest.approx(analytic, abs=1e-11)
 
     def test_trapped_subtree_scored_once(self, monkeypatch):
         # fig3's coarse N=3 stage: from e0 = 0 most first-subset actions keep the
@@ -826,7 +854,7 @@ class TestSearchPartitionPolicy:
                 for a in actions.actions:
                     policy = StatePolicy(actions=below + (a,) * (battery.e_max + 1 - len(below)))
                     gain = evaluate_policy(battery, arrivals, CONS, REWARD, policy,
-                                           e0).long_run_reward
+                                           e0)
                     assert all(bound >= gain for bound in bounds)
                 checked += 1
         assert checked
@@ -873,9 +901,9 @@ class TestSearchPartitionPolicy:
                                            coarse, part).best_reward
         refined = refine_partition_search(BASELINE, GEOM20, CONS, REWARD, acts, part)
         assert refined.best_reward >= g_coarse - 1e-12
-        analysis = evaluate_policy(BASELINE, GEOM20, CONS, REWARD,
+        analytic = evaluate_policy(BASELINE, GEOM20, CONS, REWARD,
                                    refined.best_policy)
-        assert refined.best_reward == pytest.approx(analysis.long_run_reward, abs=1e-9)
+        assert refined.best_reward == pytest.approx(analytic, abs=1e-9)
 
 
 class TestBetaStar:

@@ -4,13 +4,13 @@ diff their outputs.
     python tools/compare_outputs.py <rev>
 
 <rev> is checked out into a temporary `git worktree`. Each command below
-runs on both trees with `--threads 1` at seeds 1 and 3, and `validate` runs
-once on each preset, each in a fresh interpreter with BLAS, OpenMP and MKL
-on one thread. Every file the commands write is compared, and so is what
-`validate` prints, with its exit code, since it writes no file; the
-`wall_time_s` column is ignored. The script prints each run's peak RSS and
-wall time on both trees, then each difference, and exits 1 if there is
-any, 0 if the outputs are identical.
+runs on both trees at seeds 1 and 3, `sweep` with `--threads 1`, and
+`validate` runs once on each preset, each in a fresh interpreter with
+BLAS, OpenMP and MKL on one thread. Every file the commands write is
+compared, and so is what `validate` prints, with its exit code, since it
+writes no file; the `wall_time_s` column is ignored. The script prints
+each run's peak RSS and wall time on both trees, then each difference,
+and exits 1 if there is any, 0 if the outputs are identical.
 """
 
 from __future__ import annotations
@@ -68,8 +68,8 @@ def run_all(tree: Path, out: Path) -> dict:
     for command in COMMANDS:
         for seed in SEEDS:
             name = f"{'_'.join(command).replace('/', '_')}_seed{seed}"
-            argv = [*cli, *command, "--out", str(out / name), "--seed", str(seed),
-                    "--threads", "1"]
+            argv = [*cli, *command, "--out", str(out / name), "--seed", str(seed)]
+            argv += ["--threads", "1"] if command[0] == "sweep" else []
             code, _, err, peak, wall = _run(argv, tree, env)
             if code:
                 raise SystemExit(f"{' '.join(argv)} failed in {tree}:\n{err}")
@@ -77,7 +77,7 @@ def run_all(tree: Path, out: Path) -> dict:
     for preset in VALIDATED_PRESETS:
         name = f"validate_{preset}"
         code, stdout, stderr, peak, wall = _run(
-            [*cli, "validate", "--preset", preset, "--threads", "1"], tree, env)
+            [*cli, "validate", "--preset", preset], tree, env)
         (out / name).mkdir(parents=True)
         (out / name / "validate.txt").write_text(f"exit code: {code}\n{stdout}{stderr}",
                                                  encoding="utf-8")
