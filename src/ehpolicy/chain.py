@@ -20,7 +20,6 @@ from .core import (
     BatteryModel,
     ConsumptionMap,
     RewardModel,
-    _CHUNK,
     _spend_tables,
     next_state_table,
     sample_arrivals,
@@ -360,7 +359,6 @@ class SimulationReport:
     frames: int
     empirical_reward: float
     std_error: float
-    visit_counts: np.ndarray
 
 
 def simulate(battery: BatteryModel, arrivals: ArrivalModel, cons: ConsumptionMap,
@@ -399,11 +397,6 @@ def simulate(battery: BatteryModel, arrivals: ArrivalModel, cons: ConsumptionMap
     # the draws, the lanes and their paths are freed before the rewards exist
     states = _walk_lanes(step, sample_arrivals(arrivals, rng, frames), e0 * width)
     states //= width
-    # counted in chunks: bincount makes an intp copy of what it counts
-    counts = np.zeros(battery.e_max + 1, dtype=np.intp)
-    for lo in range(0, frames, _CHUNK):
-        counts += np.bincount(states[lo:lo + _CHUNK], minlength=len(counts))
-
     rewards = jvec[states]
     mean = float(rewards.mean())
 
@@ -411,12 +404,7 @@ def simulate(battery: BatteryModel, arrivals: ArrivalModel, cons: ConsumptionMap
     batch = frames // n_batches
     means = rewards[: n_batches * batch].reshape(n_batches, batch).mean(axis=1)
     se = float(means.std(ddof=1) / np.sqrt(n_batches)) if n_batches > 1 else float("nan")
-    return SimulationReport(
-        frames=frames,
-        empirical_reward=mean,
-        std_error=se,
-        visit_counts=counts,
-    )
+    return SimulationReport(frames=frames, empirical_reward=mean, std_error=se)
 
 
 def _walk_lanes(step: np.ndarray, draws: np.ndarray, start: int) -> np.ndarray:

@@ -35,9 +35,10 @@ def _build_parser() -> argparse.ArgumentParser:
             ("bound", "storage-aware throughput upper bound"),
             ("validate", "config checks and the recharge hypothesis")):
         cmd = sub.add_parser(name, help=help_text)
-        cmd.add_argument("--config", help="path to a YAML scenario config")
-        cmd.add_argument("--preset", choices=preset_names(),
-                         help="named built-in scenario")
+        source = cmd.add_mutually_exclusive_group(required=True)
+        source.add_argument("--config", help="path to a YAML scenario config")
+        source.add_argument("--preset", choices=preset_names(),
+                            help="named built-in scenario")
         if name == "validate":
             continue  # it writes and draws nothing
         cmd.add_argument("--out", default="out", help="output directory")
@@ -49,14 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args) -> ScenarioConfig:
-    if args.config and args.preset:
-        raise EHPolicyError("give either --config or --preset, not both")
-    if args.config:
-        cfg = ScenarioConfig.load(args.config)
-    elif args.preset:
-        cfg = get_preset(args.preset)
-    else:
-        raise EHPolicyError("one of --config or --preset is required")
+    cfg = get_preset(args.preset) if args.preset else ScenarioConfig.load(args.config)
     if getattr(args, "seed", None) is not None:  # validate takes no --seed
         cfg = dataclasses.replace(cfg, seed=args.seed)  # re-runs the config checks
     return cfg

@@ -29,6 +29,15 @@ _BUCKETS = 1 << 12
 _CHUNK = 1 << 16  # frames per chunk of the per-frame temporaries
 
 
+def _to_float(value) -> float:
+    """``float(value)``, but an integer too large for a float is ±inf, so that
+    a range check refuses it as it refuses infinity."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 # ---------------------------------------------------------------------------
 # Storage efficiency profiles
 # ---------------------------------------------------------------------------
@@ -55,7 +64,7 @@ class QuadraticCapacitor:
     beta_nl: float
 
     def __post_init__(self):
-        if not 1.0 < self.beta_nl < math.inf:
+        if not 1.0 < _to_float(self.beta_nl) < math.inf:
             raise DomainError(f"beta_nl must be finite and > 1, got {self.beta_nl}")
 
 
@@ -66,7 +75,7 @@ class TabulatedEfficiency:
     values: tuple
 
     def __post_init__(self):
-        vals = tuple(float(v) for v in self.values)
+        vals = tuple(_to_float(v) for v in self.values)
         if len(vals) < 2:
             raise DomainError("tabulated profile needs at least 2 knots")
         if any(not 0.0 < v <= 1.0 for v in vals):
@@ -221,7 +230,7 @@ class ArrivalModel:
     pmf: tuple
 
     def __post_init__(self):
-        pmf = tuple(float(p) for p in self.pmf)
+        pmf = tuple(_to_float(p) for p in self.pmf)
         object.__setattr__(self, "pmf", pmf)
         if not all(0.0 <= p < math.inf for p in pmf):
             raise DomainError("pmf entries must be finite and nonnegative")
@@ -244,7 +253,7 @@ class ArrivalModel:
 
 
 def arrival_model_from_pmf(pmf) -> ArrivalModel:
-    pmf = np.asarray(pmf, dtype=float)
+    pmf = np.array([_to_float(p) for p in pmf])
     if not np.isfinite(pmf).all():
         raise DomainError("pmf entries must be finite")
     total = pmf.sum()
@@ -343,7 +352,7 @@ class LogSnrReward:
     snr_scale: float
 
     def __post_init__(self):
-        if not 0 < self.snr_scale < math.inf:
+        if not 0 < _to_float(self.snr_scale) < math.inf:
             raise DomainError("snr_scale must be positive and finite")
 
     def rate(self, rho):
@@ -368,7 +377,7 @@ class ShannonReward:
     def __post_init__(self):
         for name in ("bandwidth_w", "noise_density_n0", "channel_h",
                      "slot_length_delta", "frame_length_t", "quantum_joules"):
-            if not 0 < getattr(self, name) < math.inf:
+            if not 0 < _to_float(getattr(self, name)) < math.inf:
                 raise DomainError(f"{name} must be positive and finite")
 
     @property

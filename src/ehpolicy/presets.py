@@ -1,10 +1,4 @@
-"""Named scenario presets and the measured device consumption profile.
-
-The device profile is an MSP430-class microcontroller with an RF core:
-four transmit levels, with total consumption depending on the RF band.
-Powers are in mW and convert to energy quanta via the configured quantum
-size and slot length.
-"""
+"""Named scenario presets: the baseline scenario and one per figure."""
 
 from __future__ import annotations
 
@@ -20,47 +14,6 @@ from .config import (
     SweepConfig,
 )
 from .errors import ConfigurationError
-
-# (tx power mW, consumption mW) per band
-DEVICE_BANDS_MW = {
-    "315MHz": ((14.0, 79.2), (10.0, 75.6), (1.0, 43.8), (0.25, 44.1)),
-    "433MHz": ((14.0, 100.2), (10.0, 86.4), (1.0, 50.4), (0.25, 52.5)),
-    "868MHz": ((14.0, 106.5), (10.0, 99.0), (1.0, 53.4), (0.25, 53.4)),
-    "915MHz": ((14.0, 104.4), (10.0, 96.3), (1.0, 52.8), (0.25, 52.8)),
-}
-
-
-def _to_quanta(power_mw: float, slot_length: float, quantum_joules: float) -> int:
-    """Energy spent at ``power_mw`` during the slot, in whole quanta (nearest)."""
-    joules = power_mw * 1e-3 * slot_length
-    q = joules / quantum_joules
-    return int(q + 0.5)
-
-
-def device_consumption_table(band: str, quantum_joules: float, slot_length: float):
-    """Quantized (tx, consumption) rows for a band, sorted by tx power.
-
-    Levels whose transmit power quantizes below one quantum are dropped:
-    they cost battery but cannot carry signal on the quantum grid. If every
-    level is dropped, only idling would be left, so that is an error.
-    """
-    if band not in DEVICE_BANDS_MW:
-        raise ConfigurationError(f"unknown device band {band!r}; "
-                                 f"known: {sorted(DEVICE_BANDS_MW)}")
-    rows = {}
-    for tx_mw, cons_mw in DEVICE_BANDS_MW[band]:
-        tx_q = _to_quanta(tx_mw, slot_length, quantum_joules)
-        cons_q = _to_quanta(cons_mw, slot_length, quantum_joules)
-        if tx_q < 1:
-            continue
-        if tx_q not in rows or cons_q < rows[tx_q]:
-            rows[tx_q] = cons_q
-    if not rows:
-        raise ConfigurationError(
-            f"device band {band!r}: no transmit level reaches one quantum of "
-            f"battery.quantum_joules = {quantum_joules:g} J; use a smaller quantum")
-    return tuple(sorted((t, max(c, t)) for t, c in rows.items()))
-
 
 def _baseline() -> ScenarioConfig:
     return ScenarioConfig(

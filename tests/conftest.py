@@ -5,10 +5,11 @@
 - ``long_run_average``: power iteration by squaring for the limiting
   occupation; the library finds recurrent classes by graph search and
   solves them directly.
-- ``simulate_reference``: the Monte Carlo recursion one frame at a time on
-  draws searched in the arrival CDF; the library samples by bucketed inverse
-  CDF and steps lanes of frames at once, coupling each lane to the previous
+- ``walk_reference``: the levels a walk visits one frame at a time; the
+  library steps lanes of frames at once, coupling each lane to the previous
   lane's end.
+- ``simulate_reference``: the Monte Carlo run by that walk on draws searched
+  in the arrival CDF; the library samples by bucketed inverse CDF.
 - ``rvi_reference``: relative value iteration on the half-lazy kernel; the
   library runs Howard policy iteration.
 - ``build_chain``: a policy's whole chain as a dense transition matrix; the
@@ -148,6 +149,18 @@ def long_run_average(transition, state_reward, e0, max_squarings=128):
     return float(pi @ r), pi
 
 
+def walk_reference(next_level, draws, e0):
+    """Levels visited one frame at a time from ``e0``: a frame that starts at
+    level e and draws b arrivals ends at ``next_level[e, b]``."""
+    rows = np.asarray(next_level).tolist()
+    states = np.empty(len(draws), dtype=np.int64)
+    e = int(e0)
+    for k, b in enumerate(np.asarray(draws).tolist()):
+        states[k] = e
+        e = rows[e][b]
+    return states
+
+
 def simulate_reference(battery, arrivals, cons, reward, policy, frames, seed, e0=0):
     """Monte Carlo run searching every arrival in the CDF up front and stepping frame by frame."""
     rng = np.random.default_rng(seed)
@@ -157,25 +170,15 @@ def simulate_reference(battery, arrivals, cons, reward, policy, frames, seed, e0
     jvec = np.array([
         attained_reward(reward, cons, int(a), e) for e, a in enumerate(acts)
     ])
+    next_level = [table[max(0, e - dvec[e])] for e in range(battery.e_max + 1)]
 
     draws = np.searchsorted(arrivals.cdf_array(), rng.random(frames), side="right")
-    states = np.empty(frames, dtype=np.int64)
-    e = int(e0)
-    for k in range(frames):
-        states[k] = e
-        e = table[max(0, e - dvec[e]), draws[k]]
-
-    rewards = jvec[states]
+    rewards = jvec[walk_reference(next_level, draws, e0)]
     n_batches = min(200, frames)
     batch = frames // n_batches
     means = rewards[: n_batches * batch].reshape(n_batches, batch).mean(axis=1)
     se = float(means.std(ddof=1) / np.sqrt(n_batches)) if n_batches > 1 else float("nan")
-    return SimulationReport(
-        frames=frames,
-        empirical_reward=float(rewards.mean()),
-        std_error=se,
-        visit_counts=np.bincount(states, minlength=battery.e_max + 1),
-    )
+    return SimulationReport(frames=frames, empirical_reward=float(rewards.mean()), std_error=se)
 
 
 def rvi_reference(battery, arrivals, cons, reward, actions,

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import attained_reward, build_chain
+from conftest import attained_reward, build_chain, walk_reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
@@ -32,9 +32,10 @@ from ehpolicy.chain import (
     _level_tables,
     _reach,
     _stack_reach,
+    _walk_lanes,
     charge_matrix,
 )
-from ehpolicy.core import arrival_model_from_pmf
+from ehpolicy.core import arrival_model_from_pmf, next_state_table, sample_arrivals
 from ehpolicy.harness import build_models
 from ehpolicy.errors import ConfigurationError, DomainError, NumericError
 
@@ -412,19 +413,12 @@ class TestSimulate:
                           frames=5000, seed=1)
         assert report.empirical_reward == 0.0
 
-    def test_visit_counts_sum_to_frames(self):
-        policy = StatePolicy(actions=(0,) * 101)
-        report = simulate(BASELINE, GEOM20, CONS, REWARD, policy,
-                          frames=5000, seed=1)
-        assert report.visit_counts.sum() == 5000
-
     def test_reproducible(self):
         part = Partition.uniform(100, 2)
         policy = PartitionPolicy(partition=part, actions=(4, 26))
         a = simulate(BASELINE, GEOM20, CONS, REWARD, policy, frames=20000, seed=9)
         b = simulate(BASELINE, GEOM20, CONS, REWARD, policy, frames=20000, seed=9)
-        assert a.empirical_reward == b.empirical_reward
-        assert np.array_equal(a.visit_counts, b.visit_counts)
+        assert a == b
 
     def test_matches_analytic_within_three_se(self):
         part = Partition.uniform(100, 2)
@@ -436,39 +430,49 @@ class TestSimulate:
             <= 3 * report.std_error
 
     @staticmethod
-    def assert_same_run(got, want):
-        assert np.array_equal(got.visit_counts, want.visit_counts)
-        assert got.empirical_reward == want.empirical_reward
-        assert got.std_error == want.std_error
+    def walked_levels(battery, arrivals, policy, frames, seed, e0=0):
+        """The levels that the coupled lanes visit on the step table and draws
+        that ``simulate`` makes, checked frame for frame against the walk one
+        frame at a time on the same table and draws."""
+        next_level = next_state_table(battery, arrivals.b_max)[
+            _level_tables(CONS, REWARD, policy, battery.e_max)[0]]
+        width = arrivals.b_max + 1
+        step = (next_level * width).astype(np.min_scalar_type(next_level.size)).ravel()
+        draws = sample_arrivals(arrivals, np.random.default_rng(seed), frames)
+        levels = walk_reference(next_level, draws, e0)
+        assert np.array_equal(_walk_lanes(step, draws, e0 * width), levels * width)
+        return levels
 
     # a run shorter than one lane, about one lane, 300 lanes of 300 frames,
     # 300 full lanes plus a padded lane of 7 frames, and runs about the
-    # edges of the 2^16-frame chunks in which arrivals are drawn and visits
-    # counted
+    # edges of the 2^16-frame chunks in which arrivals are drawn
     @pytest.mark.parametrize("frames", [37, _MIN_LANE - 1, _MIN_LANE, _MIN_LANE + 1,
                                         300 * 300, 300 * 300 + 7,
                                         65535, 65536, 65537, 3 * 65536 + 5])
     def test_matches_reference_across_lane_edges(self, simulate_oracle, frames):
         policy = PartitionPolicy(partition=Partition.uniform(100, 2), actions=(4, 26))
+        self.walked_levels(BASELINE, GEOM20, policy, frames, seed=5)
         args = (BASELINE, GEOM20, CONS, REWARD, policy)
-        self.assert_same_run(simulate(*args, frames=frames, seed=5),
-                             simulate_oracle(*args, frames=frames, seed=5))
+        assert (simulate(*args, frames=frames, seed=5)
+                == simulate_oracle(*args, frames=frames, seed=5))
 
     def test_matches_reference_from_nonzero_start(self, simulate_oracle):
         policy = PartitionPolicy(partition=Partition.uniform(100, 2), actions=(4, 26))
+        levels = self.walked_levels(BASELINE, GEOM20, policy, 131_075, seed=8, e0=73)
+        assert levels[0] == 73
         args = (BASELINE, GEOM20, CONS, REWARD, policy)
-        self.assert_same_run(simulate(*args, frames=131_075, seed=8, e0=73),
-                             simulate_oracle(*args, frames=131_075, seed=8, e0=73))
+        assert (simulate(*args, frames=131_075, seed=8, e0=73)
+                == simulate_oracle(*args, frames=131_075, seed=8, e0=73))
 
     def test_matches_reference_with_drain_actions(self, simulate_oracle):
         # actions above the stored level empty the battery and earn nothing
         acts = np.random.default_rng(6).integers(0, 101, size=101)
         policy = StatePolicy(actions=tuple(acts))
+        levels = self.walked_levels(BASELINE, GEOM20, policy, 131_075, seed=2)
+        assert (acts[levels] > levels).any()
         args = (BASELINE, GEOM20, CONS, REWARD, policy)
-        report = simulate(*args, frames=131_075, seed=2)
-        drained = (acts > np.arange(101)) & (report.visit_counts > 0)
-        assert drained.any()
-        self.assert_same_run(report, simulate_oracle(*args, frames=131_075, seed=2))
+        assert (simulate(*args, frames=131_075, seed=2)
+                == simulate_oracle(*args, frames=131_075, seed=2))
 
     def test_matches_reference_when_lanes_never_meet(self, simulate_oracle):
         # a lossless battery that harvests exactly what it spends keeps its
@@ -477,10 +481,11 @@ class TestSimulate:
         battery = BatteryModel(e_max=100, efficiency=ConstantEfficiency(1.0))
         arrivals = arrival_model_from_pmf([0.0] * 5 + [1.0])
         policy = StatePolicy(actions=(5,) * 101)
+        levels = self.walked_levels(battery, arrivals, policy, 90_007, seed=4, e0=73)
+        assert (levels == 73).all()
         args = (battery, arrivals, CONS, REWARD, policy)
-        report = simulate(*args, frames=90_007, seed=4, e0=73)
-        assert report.visit_counts[73] == 90_007
-        self.assert_same_run(report, simulate_oracle(*args, frames=90_007, seed=4, e0=73))
+        assert (simulate(*args, frames=90_007, seed=4, e0=73)
+                == simulate_oracle(*args, frames=90_007, seed=4, e0=73))
 
     def test_peak_memory_of_a_long_run(self, large_policy):
         # the large-battery workload's 10^6 frames; the tables are cached

@@ -366,17 +366,20 @@ SHANNON = dict(bandwidth_w=2e6, noise_density_n0=10 ** -20.4, channel_h=3e-13,
                slot_length_delta=0.005, frame_length_t=1.0, quantum_joules=1e-5)
 
 
-@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, 10 ** 400],
+                         ids=["inf", "-inf", "nan", "10**400"])
 @pytest.mark.parametrize("make", [
     lambda x: QuadraticCapacitor(beta_nl=x),
     lambda x: LogSnrReward(snr_scale=x),
     lambda x: ShannonReward(**{**SHANNON, "bandwidth_w": x}),
     lambda x: ShannonReward(**{**SHANNON, "channel_h": x}),
+    lambda x: TabulatedEfficiency(values=(x, 0.5)),
     lambda x: ArrivalModel(pmf=(x, 1.0)),
     lambda x: arrival_model_from_pmf([x, 1.0])],
-    ids=["beta_nl", "snr_scale", "bandwidth", "channel_h", "pmf", "pmf_weights"])
+    ids=["beta_nl", "snr_scale", "bandwidth", "channel_h", "tabulated", "pmf", "pmf_weights"])
 def test_non_finite_value_is_refused(make, bad):
     # an infinite beta_nl used to give NaN levels, an infinite scale an
-    # infinite gain, and a NaN or infinite pmf weight a zero gain
+    # infinite gain, and a NaN or infinite pmf weight a zero gain; an
+    # integer too large for a float used to raise a bare OverflowError
     with pytest.raises(DomainError):
         make(bad)
