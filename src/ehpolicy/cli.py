@@ -5,9 +5,10 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+from pathlib import Path
 
 from .config import ScenarioConfig
-from .errors import EHPolicyError
+from .errors import ConfigurationError, EHPolicyError
 from .harness import (
     run_bound,
     run_search,
@@ -56,9 +57,22 @@ def _load_config(args) -> ScenarioConfig:
     return cfg
 
 
+def _check_out(out) -> None:
+    """Refuse an output path that is, or lies under, something other than a
+    directory, before any work is done."""
+    path = Path(out)
+    for at in (path, *path.parents):
+        if at.exists():
+            if not at.is_dir():
+                raise ConfigurationError(f"--out {out}: {at} exists and is not a directory")
+            return
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if args.command != "validate":
+            _check_out(args.out)
         cfg = _load_config(args)
         if args.command == "validate":
             ok, messages = run_validate(cfg)

@@ -382,5 +382,16 @@ class ScenarioConfig:
 
     @classmethod
     def load(cls, path) -> "ScenarioConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_yaml(fh.read())
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            reason = (exc.strerror or exc) if isinstance(exc, OSError) else "not UTF-8 text"
+            raise ConfigurationError(f"cannot read config {path}: {reason}") from exc
+        try:
+            return cls.from_yaml(text)
+        except yaml.YAMLError as exc:
+            mark = getattr(exc, "problem_mark", None)
+            where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
+            problem = getattr(exc, "problem", None) or "not YAML"
+            raise ConfigurationError(f"config {path}{where}: {problem}") from exc

@@ -44,7 +44,7 @@ from .errors import (
 _STACK_ENTRIES = 1 << 14
 _GROUP_BYTES = 1 << 19  # folds and reach supports of a group of last-depth prefixes
 _START_SWEEPS = 10  # value-iteration sweeps whose greedy policy starts policy iteration
-_BOUND_SWEEPS = 5  # value-iteration sweeps of a last-depth prefix's gain bound; 0 for none
+_BOUND_SWEEPS = 5  # value-iteration sweeps of each search bound; 0 for no bound and no pruning
 _MAX_ITERATIONS = 500  # policy-iteration steps before a cycle is reported
 _KEEP_RTOL = 1e-10  # a state's action changes only if beaten by more, relative to max |Q|
 _MAX_BUDGET = 10 ** 8  # candidates per partition search at most; it holds 8 bytes a candidate
@@ -296,7 +296,7 @@ class SearchResult:
     best_policy: PartitionPolicy
     best_reward: float
     evaluated_count: int  # every candidate, scored or pruned
-    pruned: int  # candidates skipped because their prefix's gain bound lost
+    pruned: int  # candidates skipped because a gain bound lost: their own or their prefix's
 
 
 def search_partition_policy(battery: BatteryModel, arrivals: ArrivalModel,
@@ -348,23 +348,28 @@ def _candidate_gains(battery: BatteryModel, arrivals: ArrivalModel, cons: Consum
     array's C order is the lexicographic order of the candidates.
 
     The candidates form a prefix tree over the subsets, and one recursive
-    walk fills the array, one subarray per prefix. At each depth i, if
-    ``e0`` lies below subset i, a graph search on the rows of the levels
-    below it (fixed by the first i actions) finds whether the chain from
-    ``e0`` ever gets there. If it cannot, no later action changes the gain,
-    so the prefix's whole subarray holds one gain, computed once by the
-    class route, ``chain.exact_occupation``.
+    walk fills the array, one subarray per prefix. The incumbent is the
+    largest gain the array holds so far; queued prefixes do not count
+    towards it. Every bound below loses if it lies below the incumbent less
+    a relative margin of 1e-9, strictly, so no candidate that ties the
+    winner is skipped; what it bounds is then set to -inf and not solved.
+    With ``_BOUND_SWEEPS`` = 0 nothing is bounded.
+
+    At each depth i, if ``e0`` lies below subset i, a graph search on the
+    rows of the levels below it (fixed by the first i actions) finds whether
+    the chain from ``e0`` ever gets there. If it cannot, no later action
+    changes the gain, so the prefix's whole subarray holds one gain. It is
+    bounded first by ``_trap_bound``, and computed only if the bound does
+    not lose, once, by the class route, ``chain.exact_occupation``.
 
     At the last depth the levels split into E, every subset but the last,
-    and K, the last subset. If some E state never reaches K, every last
-    action takes the class route. Otherwise E is eliminated once, folded
-    into every charge row, and the prefix is queued; ``_score_group``
-    scores the queue whenever it holds as many prefixes as fit in
-    ``_GROUP_BYTES`` (one at least), and at the end of the walk. Before E
-    is eliminated, ``_gain_bound`` bounds the gains of the prefix's row; if
-    the bound lies below the largest gain the array holds so far, less a
-    relative margin of 1e-9, the row is set to -inf and not scored. Queued
-    prefixes do not count towards that gain.
+    and K, the last subset. ``_gain_bound`` first bounds the gains of the
+    prefix's whole row. If some E state never reaches K, every last action
+    then takes the class route. Otherwise E is eliminated once, folded into
+    every charge row, and the prefix is queued; ``_score_group`` scores the
+    queue whenever it holds as many prefixes as fit in ``_GROUP_BYTES`` (one
+    at least), and at the end of the walk, and bounds each of its chains
+    before it solves them.
     """
     n_subsets = partition.n_subsets
     rows = charge_matrix(battery, arrivals)
@@ -390,7 +395,7 @@ def _candidate_gains(battery: BatteryModel, arrivals: ArrivalModel, cons: Consum
         prefixes, choices, folds = zip(*queued)
         queued.clear()
         folds = np.stack(folds)  # frees the per-prefix folds
-        scored = _score_group(rows, start_by_action, j_by_action, folds, choices, e0)
+        scored = _score_group(rows, start_by_action, j_by_action, folds, choices, e0, best)
         for prefix, row in zip(prefixes, scored):
             keep(prefix, row)
 
@@ -404,14 +409,14 @@ def _candidate_gains(battery: BatteryModel, arrivals: ArrivalModel, cons: Consum
             reach = _reaches_last_subset(p_e > _EDGE_EPS, k)
         if e0 < k and not reach[e0]:
             # the chain from e0 never climbs to level k: one gain for the whole subtree
+            if _BOUND_SWEEPS and _trap_bound(rows, start_by_action, j_by_action, choice_e, e0,
+                                             _BOUND_SWEEPS) < best - 1e-9 * abs(best):
+                gains[prefix] = -np.inf
+                return
             keep(prefix, _class_gain(rows, start_by_action, j_by_action, choice_e, 0, e0))
         elif depth < n_subsets - 1:
             for a in range(n_acts):
                 fill(prefix + (a,))
-        elif not reach.all():
-            # E holds a closed class, so I - P_EE is singular
-            keep(prefix, [_class_gain(rows, start_by_action, j_by_action, choice_e, a, e0)
-                          for a in range(n_acts)])
         else:
             if _BOUND_SWEEPS:
                 bound, v = _gain_bound(rows, start_by_action, j_by_action, choice_e, v,
@@ -420,6 +425,11 @@ def _candidate_gains(battery: BatteryModel, arrivals: ArrivalModel, cons: Consum
                     # strictly below, so no candidate that ties the winner is skipped
                     gains[prefix] = -np.inf
                     return
+            if not reach.all():
+                # E holds a closed class, so I - P_EE is singular
+                keep(prefix, [_class_gain(rows, start_by_action, j_by_action, choice_e, a, e0)
+                              for a in range(n_acts)])
+                return
             # eliminate E: (I - P_EE)[Y | u | t] = [P_EK | r_E | 1], folded into every
             # charge row, gives its law on K and the reward and frames spent in E
             w = np.linalg.solve(np.eye(k) - p_e[:, :k], np.column_stack(
@@ -461,6 +471,19 @@ def _gain_bound(rows, start_by_action, j_by_action, choice_e, v, sweeps):
     return bound, v
 
 
+def _trap_bound(rows, start_by_action, j_by_action, choice_e, e0, sweeps) -> float:
+    """Upper bound on the gain from e0 when each level e below len(choice_e)
+    takes action ``choice_e[e]`` and the chain from e0 never climbs past
+    them: ``_ratio_bounds`` on the closed set of levels that e0 reaches, each
+    of whose frames is one."""
+    k = len(choice_e)
+    p = rows[start_by_action[np.arange(k), choice_e], :k]
+    trap = np.flatnonzero(_reach(p > _EDGE_EPS, e0))
+    p = p[np.ix_(trap, trap)]
+    _, upper = _ratio_bounds(lambda v: p @ v, j_by_action[trap, choice_e[trap]], 1.0, sweeps)
+    return float(upper)
+
+
 def _class_gain(rows, start_by_action, j_by_action, choice_e, a, e0) -> float:
     """Gain from e0, by the class route, when each level e below len(choice_e)
     takes action ``choice_e[e]`` and every level above takes action ``a``."""
@@ -471,13 +494,17 @@ def _class_gain(rows, start_by_action, j_by_action, choice_e, a, e0) -> float:
     return float(occupation @ j_by_action[levels, choice])
 
 
-def _score_group(rows, start_by_action, j_by_action, folds, choices, e0) -> np.ndarray:
+def _score_group(rows, start_by_action, j_by_action, folds, choices, e0, best) -> np.ndarray:
     """Gain from e0 of every last action of a group of prefixes, (G, |A|).
 
     Prefix g takes actions ``choices[g]`` on E, and ``folds[g]`` is its fold.
-    The laws of all G·|A| censored chains are solved in chunks of
-    ``_STACK_ENTRIES`` entries, and then checked at once. A chain whose law
-    is not trusted takes the class route.
+    Chain c of the group is the censored chain on K of one last action. With
+    ``_BOUND_SWEEPS`` set, ``_ratio_bounds`` first brackets every chain's
+    gain; the incumbent is the larger of ``best`` and the largest lower
+    bound, and a chain whose upper bound lies below it, less a relative
+    margin of 1e-9, gets -inf and no solve. The laws of the other chains are
+    solved in chunks of ``_STACK_ENTRIES`` entries, and then checked at once.
+    A chain whose law is not trusted takes the class route.
     """
     n_groups, n, width = folds.shape
     nk = width - 2
@@ -486,10 +513,25 @@ def _score_group(rows, start_by_action, j_by_action, folds, choices, e0) -> np.n
     # chain c is prefix which[c] with last action act[c]; K charges from starts[c]
     which, act = np.divmod(np.arange(n_groups * n_acts), n_acts)
     starts = start_by_action[n - nk:].T[act]
-    r_k = j_by_action[n - nk:].T
-    pi, residual = np.empty((len(which), nk)), np.empty(len(which))
+    # each level's reward and frames until the chain is back in K, that level's included
+    earned = mu[which[:, None], starts] + j_by_action[n - nk:].T[act]
+    frames = tau[which[:, None], starts] + 1.0
+    gains = np.full(n_groups * n_acts, np.nan)  # NaN until the chain is pruned or scored
+    if _BOUND_SWEEPS:
+        def step(v):
+            # P_c v_c is (m[which[c]] @ v_c)[starts[c]]: one product per prefix
+            w = m @ v.reshape(n_groups, n_acts, nk).transpose(0, 2, 1)
+            return w[which[:, None], starts, act[:, None]]
+
+        lower, upper = _ratio_bounds(step, earned, frames, _BOUND_SWEEPS)
+        incumbent = np.fmax.reduce(lower, initial=best)
+        # strictly below, so no candidate that ties the winner is skipped
+        gains[upper < incumbent - 1e-9 * abs(incumbent)] = -np.inf
+    live = np.flatnonzero(np.isnan(gains))
+    which, starts = which[live], starts[live]
+    pi, residual = np.empty((len(live), nk)), np.empty(len(live))
     batch = max(1, _STACK_ENTRIES // (nk * nk))
-    for lo in range(0, len(which), batch):
+    for lo in range(0, len(live), batch):
         censored = m[which[lo:lo + batch, None], starts[lo:lo + batch]]
         law = pi[lo:lo + batch] = _stationary_laws(censored)
         residual[lo:lo + batch] = np.abs(np.einsum("ck,ckj->cj", law, censored) - law).max(axis=1)
@@ -505,14 +547,33 @@ def _score_group(rows, start_by_action, j_by_action, folds, choices, e0) -> np.n
     good = (_stack_reach(support.transpose(0, 2, 1), heaviest).all(axis=1)
             & (pi.min(axis=1) > -1e-10) & (np.abs(pi.sum(axis=1) - 1.0) < 1e-8)
             & (residual < 1e-10) & (stray < 1e-10))
-    c, pi = np.flatnonzero(good), np.maximum(pi[good], 0.0)
-    g, at = which[c, None], starts[c]
-    gains = np.full(n_groups * n_acts, np.nan)  # NaN until a trusted law scores the chain
-    gains[c] = (np.einsum("ck,ck->c", pi, mu[g, at] + r_k[act[c]])
-                / np.einsum("ck,ck->c", pi, tau[g, at] + 1.0))
-    for i in np.flatnonzero(np.isnan(gains)):
-        gains[i] = _class_gain(rows, start_by_action, j_by_action, choices[which[i]], act[i], e0)
+    c, pi = live[good], np.maximum(pi[good], 0.0)
+    gains[c] = np.einsum("ck,ck->c", pi, earned[c]) / np.einsum("ck,ck->c", pi, frames[c])
+    for i in live[~good]:
+        gains[i] = _class_gain(rows, start_by_action, j_by_action, choices[i // n_acts],
+                               i % n_acts, e0)
     return gains.reshape(n_groups, n_acts)
+
+
+def _ratio_bounds(step, earned, frames, sweeps):
+    """Lower and upper bounds on the gain, from any start, of each chain of a
+    stack: chain c earns ``earned[c, i]`` over ``frames[c, i]`` >= 1 frames
+    at level i, then moves by P_c, and ``step(v)`` gives P_c v_c for each c.
+
+    With R = ``earned`` and T = ``frames``, each of the ``sweeps``
+    value-iteration sweeps takes d = (R + P v - v) / T and then v + d, from
+    v = 0. That is value iteration on Schweitzer's transformed chain,
+    I + (P - I) / T, which earns R / T a frame and whose closed classes have
+    the gains of this one's (Schweitzer, *J. Math. Anal. Appl.* 34, 1971).
+    So min d and max d bracket the gain of every closed class, and so every
+    gain from a start, of a multichain chain too (Odoni 1969); in exact
+    arithmetic, more sweeps never widen the bracket.
+    """
+    v = np.zeros_like(earned)
+    for _ in range(sweeps):
+        d = (earned + step(v) - v) / frames
+        v += d
+    return d.min(axis=-1), d.max(axis=-1)
 
 
 def _reaches_last_subset(support_e: np.ndarray, k0: int) -> np.ndarray:

@@ -251,6 +251,37 @@ class TestCli:
                        "one of the arguments --config --preset is required", capsys)
         assert not out.exists()
 
+    @pytest.mark.parametrize("case,message", [
+        ("missing", "No such file or directory"),
+        ("directory", "Is a directory"),
+        ("malformed", "at line 2, column 1"),
+    ])
+    def test_unreadable_config(self, tmp_path, capsys, case, message):
+        # exit code 2 and one line naming the path, not a traceback with the
+        # exit code 1 that validate gives a violated recharge hypothesis
+        path = {"missing": tmp_path / "none.yaml", "directory": tmp_path,
+                "malformed": tmp_path / "bad.yaml"}[case]
+        if case == "malformed":
+            path.write_text("battery: [1,\n", encoding="utf-8")
+        assert main(["validate", "--config", str(path)]) == 2
+        err = capsys.readouterr()
+        assert err.err.startswith("error: ") and err.err.count("\n") == 1
+        assert str(path) in err.err and message in err.err
+        assert err.out == ""
+
+    @pytest.mark.parametrize("below", [False, True])
+    def test_out_that_is_a_file(self, tmp_path, capsys, below):
+        # refused before the run starts: nothing is written beside the file
+        blocker = tmp_path / "results"
+        blocker.write_text("kept\n", encoding="utf-8")
+        out = blocker / "run" if below else blocker
+        assert main(["bound", "--preset", "baseline", "--out", str(out)]) == 2
+        err = capsys.readouterr()
+        assert err.err == f"error: --out {out}: {blocker} exists and is not a directory\n"
+        assert err.out == ""
+        assert blocker.read_text(encoding="utf-8") == "kept\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["results"]
+
     def test_solve_outputs(self, small_config, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["solve", "--config", str(small_config),

@@ -144,6 +144,14 @@ def fig3_coarse_stage():
             Partition.uniform(models.battery.e_max, 3))
 
 
+def search_cases():
+    """``_candidate_gains`` arguments of each of SEARCH_EXAMPLES and of fig3's
+    coarse stage."""
+    for battery, arrivals, actions, part, e0 in SEARCH_EXAMPLES:
+        yield battery, arrivals, CONS, REWARD, actions, part, e0
+    yield *fig3_coarse_stage(), 0
+
+
 def nearly_decomposable_model():
     """Lossless 61-level model whose N=2 chains from spending 16 or 18 quanta
     on LOW have two nearly closed halves: (battery, arrivals, cons, reward)
@@ -603,8 +611,8 @@ class TestSearchPartitionPolicy:
         score_group = optimize._score_group
         placed = []
 
-        def with_nan(rows, start_by_action, j_by_action, folds, choices, e0):
-            gains = score_group(rows, start_by_action, j_by_action, folds, choices, e0)
+        def with_nan(rows, start_by_action, j_by_action, folds, choices, e0, best):
+            gains = score_group(rows, start_by_action, j_by_action, folds, choices, e0, best)
             for row, choice_e in zip(gains, choices):
                 if acts.actions[choice_e[0]] == winner[0]:
                     row[acts.actions.index(winner[1])] = np.nan
@@ -612,6 +620,9 @@ class TestSearchPartitionPolicy:
             return gains
 
         monkeypatch.setattr(optimize, "_score_group", with_nan)
+        # unbounded: the winner's lower bound, taken before its gain turns NaN,
+        # would prune the runner-up
+        monkeypatch.setattr(optimize, "_BOUND_SWEEPS", 0)
         result = search_partition_policy(bat, arr, CONS, REWARD, acts, part)
         assert placed
         assert result.best_policy.actions == runner_up
@@ -707,9 +718,9 @@ class TestSearchPartitionPolicy:
         score_group = optimize._score_group
         sizes = []
 
-        def recorded(rows, start_by_action, j_by_action, folds, choices, e0):
+        def recorded(rows, start_by_action, j_by_action, folds, choices, e0, best):
             sizes.append(len(folds))
-            return score_group(rows, start_by_action, j_by_action, folds, choices, e0)
+            return score_group(rows, start_by_action, j_by_action, folds, choices, e0, best)
 
         monkeypatch.setattr(optimize, "_score_group", recorded)
         for group, chunk in ((0, 1), (1 << 17, 1 << 13), (1 << 62, 1 << 62)):
@@ -743,7 +754,7 @@ class TestSearchPartitionPolicy:
         monkeypatch.setattr(optimize, "_score_group",
                             lambda *args: groups.append(args) or score_group(*args))
         _candidate_gains(battery, arrivals, CONS, REWARD, actions, part, e0)
-        rows, start_by_action, j_by_action, folds, choices, e0 = groups[0]
+        rows, start_by_action, j_by_action, folds, choices, e0, _ = groups[0]
         occupations = []
 
         def counted(*args):
@@ -825,7 +836,7 @@ class TestSearchPartitionPolicy:
         assert result.pruned == np.count_nonzero(pruned)
         assert (full[pruned] < full.flat[best] - 1e-9 * abs(full.flat[best])).all()
         if case == "fig3":
-            # the only case that prunes: 41 of its 52 bounded prefixes
+            # whole rows: 671 of its 676, by the prefix, trap and chain bounds together
             assert np.count_nonzero(pruned.all(axis=-1)) >= 40
 
     def test_gain_bound_is_an_upper_bound(self):
@@ -858,6 +869,101 @@ class TestSearchPartitionPolicy:
                     assert all(bound >= gain for bound in bounds)
                 checked += 1
         assert checked
+
+    def test_chain_bounds_bracket_every_gain(self, monkeypatch):
+        # every censored chain of every group of SEARCH_EXAMPLES and fig3's coarse
+        # stage, scored with no bound: its gain, by its trusted law or by the class
+        # route, lies within its bracket, and more sweeps never widen the bracket
+        score_group, ratio_bounds = optimize._score_group, optimize._ratio_bounds
+        class_gain = optimize._class_gain
+        checked = {"law": 0, "class route": 0}
+        for args in search_cases():
+            groups, brackets, routed = [], [], []
+            monkeypatch.setattr(optimize, "_BOUND_SWEEPS", 0)
+            monkeypatch.setattr(optimize, "_score_group",
+                                lambda *group: groups.append(group) or score_group(*group))
+            _candidate_gains(*args)
+            monkeypatch.setattr(optimize, "_ratio_bounds",
+                                lambda *a: brackets.append(ratio_bounds(*a)) or brackets[-1])
+            monkeypatch.setattr(optimize, "_class_gain",
+                                lambda *a: routed.append(a[3:5]) or class_gain(*a))
+            for group in groups:
+                choices, n_acts = group[4], len(args[4])
+                monkeypatch.setattr(optimize, "_BOUND_SWEEPS", 0)
+                routed.clear()
+                gains = score_group(*group).ravel()
+                by_law = np.ones(len(gains), dtype=bool)
+                for choice_e, a in routed:
+                    by_law[[c is choice_e for c in choices].index(True) * n_acts + a] = False
+                brackets.clear()
+                for sweeps in (1, 5, 10, 20):
+                    monkeypatch.setattr(optimize, "_BOUND_SWEEPS", sweeps)
+                    score_group(*group)
+                for (lower, upper), (lower_after, upper_after) in zip(brackets, brackets[1:]):
+                    assert (lower_after >= lower - 1e-12 * np.abs(lower)).all()
+                    assert (upper_after <= upper + 1e-12 * np.abs(upper)).all()
+                # within a few ulps of the group's largest gain, far below the
+                # search's pruning margin of 1e-9 relative
+                tol = 1e-12 * np.abs(gains).max()
+                for lower, upper in brackets:
+                    assert (lower <= gains + tol).all() and (gains <= upper + tol).all()
+                checked["law"] += np.count_nonzero(by_law)
+                checked["class route"] += np.count_nonzero(~by_law)
+        assert all(checked.values())
+
+    def test_chain_pruned_only_below_the_margin(self, monkeypatch):
+        # a chain survives an incumbent equal to its upper bound, and every chain is
+        # pruned by one a margin of 2e-9 above the highest upper bound, so no chain
+        # that ties the winner is pruned
+        battery, arrivals, actions, part, e0 = SEARCH_EXAMPLES[0]
+        score_group, ratio_bounds = optimize._score_group, optimize._ratio_bounds
+        groups, brackets = [], []
+        monkeypatch.setattr(optimize, "_score_group",
+                            lambda *group: groups.append(group[:-1]) or score_group(*group))
+        monkeypatch.setattr(optimize, "_ratio_bounds",
+                            lambda *a: brackets.append(ratio_bounds(*a)) or brackets[-1])
+        _candidate_gains(battery, arrivals, CONS, REWARD, actions, part, e0)
+        brackets.clear()
+        score_group(*groups[0], -np.inf)
+        (_, upper), = brackets
+        top = int(upper.argmax())
+        assert upper[top] > 0
+        assert np.isfinite(score_group(*groups[0], upper[top]).flat[top])
+        assert np.isneginf(score_group(*groups[0], upper[top] * (1 + 2e-9))).all()
+
+    def test_trap_bound_is_an_upper_bound(self):
+        # every trapped prefix of SEARCH_EXAMPLES and fig3's coarse stage: its
+        # bound lies above its class-route gain, and more sweeps never raise it
+        trap_bound = optimize._trap_bound
+        checked = 0
+        for args in search_cases():
+            calls = []
+            with pytest.MonkeyPatch.context() as monkeypatch:
+                monkeypatch.setattr(optimize, "_trap_bound",
+                                    lambda *a: calls.append(a[:5]) or trap_bound(*a))
+                _candidate_gains(*args)
+            for rows, start_by_action, j_by_action, choice_e, e0 in calls:
+                bounds = [trap_bound(rows, start_by_action, j_by_action, choice_e, e0, sweeps)
+                          for sweeps in (1, 5, 10, 20)]
+                assert all(b <= a + 1e-12 * abs(a) for a, b in zip(bounds, bounds[1:]))
+                gain = optimize._class_gain(rows, start_by_action, j_by_action, choice_e, 0, e0)
+                assert all(bound >= gain for bound in bounds)
+                checked += 1
+        assert checked
+
+    def test_bounds_skip_most_solves(self, monkeypatch):
+        # fig3's coarse stage: with the prefix bound alone it made 24 class-route
+        # calls and 286 censored-law solves; the trap and chain bounds leave 0 and 53
+        occupations, laws = [], []
+        occupation, stationary_laws = exact_occupation, optimize._stationary_laws
+        monkeypatch.setattr(optimize.chain, "exact_occupation",
+                            lambda *a: occupations.append(a) or occupation(*a))
+        monkeypatch.setattr(optimize, "_stationary_laws",
+                            lambda p: laws.append(len(p)) or stationary_laws(p))
+        result = search_partition_policy(*fig3_coarse_stage())
+        assert result.best_policy.actions == (0, 16, 32)
+        assert len(occupations) <= 4
+        assert sum(laws) <= 100
 
     @pytest.mark.parametrize("e0", [-1, 101])
     def test_rejects_start_outside_battery(self, e0):
