@@ -20,6 +20,7 @@ from .core import (
     BatteryModel,
     ConsumptionMap,
     RewardModel,
+    _is_int,
     _spend_tables,
     next_state_table,
     sample_arrivals,
@@ -306,8 +307,8 @@ def exact_occupation(rows: np.ndarray, starts, e0: int) -> np.ndarray:
     if (starts.shape != (n,) or not np.issubdtype(starts.dtype, np.integer)
             or not np.all((0 <= starts) & (starts < n))):
         raise DomainError(f"starts must be {n} levels in [0, {n})")
-    if not 0 <= e0 < n:
-        raise DomainError(f"initial state {e0} out of range")
+    if not _is_int(e0) or not 0 <= e0 < n:
+        raise DomainError(f"initial state must be an integer in [0, {n}), got {e0!r}")
     levels = np.flatnonzero(_reach(np.take(rows > _EDGE_EPS, starts, axis=0), e0))
     p = _gather_block(rows, starts, levels)
     e0 = int(np.searchsorted(levels, e0))
@@ -380,10 +381,13 @@ def simulate(battery: BatteryModel, arrivals: ArrivalModel, cons: ConsumptionMap
     time rather than the rest of the run. The visited levels equal those of
     a walk one frame at a time.
     """
-    if not 1 <= frames <= _MAX_FRAMES:
-        raise DomainError(f"frames must lie in [1, {_MAX_FRAMES}], got {frames}")
-    if not 0 <= e0 <= battery.e_max:
-        raise DomainError(f"initial state {e0} out of range")
+    if not _is_int(frames) or not 1 <= frames <= _MAX_FRAMES:
+        raise DomainError(f"frames must be an integer in [1, {_MAX_FRAMES}], got {frames!r}")
+    if not _is_int(seed) or seed < 0:
+        raise DomainError(f"seed must be an integer >= 0, got {seed!r}")
+    if not _is_int(e0) or not 0 <= e0 <= battery.e_max:
+        raise DomainError(
+            f"initial state must be an integer in [0, {battery.e_max}], got {e0!r}")
     rng = np.random.default_rng(seed)
     table = next_state_table(battery, arrivals.b_max)
     starts, jvec = _level_tables(cons, reward, policy, battery.e_max)

@@ -21,6 +21,7 @@ from .core import (
     QuadraticCapacitor,
     ShannonReward,
     TabulatedEfficiency,
+    _is_int,
     arrival_model_from_pmf,
     check_reward_shape,
     make_truncated_geometric,
@@ -30,10 +31,6 @@ from .errors import ConfigurationError
 from .optimize import _MAX_BUDGET
 
 _POLICY_SOURCES = ("solve", "search", "lcp", "bp", "fixed", "cross_apply")
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _check_int(name: str, value, lowest: int, optional: bool = False):

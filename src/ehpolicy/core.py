@@ -11,6 +11,7 @@ continuous throughput bound).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Union
@@ -27,6 +28,11 @@ _FLOOR_EPS = 1e-9
 # bucket index is int16, so at most 1 << 15.
 _BUCKETS = 1 << 12
 _CHUNK = 1 << 16  # frames per chunk of the per-frame temporaries
+
+
+def _is_int(value) -> bool:
+    """Whether ``value`` is an integer; a bool is not one."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _to_float(value) -> float:

@@ -29,11 +29,13 @@ from .core import (
     RewardModel,
     _charge_flow,
     _efficiency_unchecked,
+    _is_int,
     _spend_tables,
     validate_recharge_hypothesis,
 )
 from .errors import (
     BudgetExceededError,
+    ConfigurationError,
     ConvergenceError,
     DomainError,
     UnsupportedPartitionError,
@@ -313,10 +315,14 @@ def search_partition_policy(battery: BatteryModel, arrivals: ArrivalModel,
     candidate, at most ``8 * budget``, and ``budget`` itself may not exceed
     ``_MAX_BUDGET``.
     """
+    if partition.e_max != battery.e_max:
+        raise ConfigurationError(
+            f"policy partition has e_max={partition.e_max}, scenario has {battery.e_max}")
     if budget > _MAX_BUDGET:
         raise BudgetExceededError(f"budget {budget} exceeds the largest budget {_MAX_BUDGET}")
-    if not 0 <= e0 <= battery.e_max:
-        raise DomainError(f"initial state {e0} out of range")
+    if not _is_int(e0) or not 0 <= e0 <= battery.e_max:
+        raise DomainError(
+            f"initial state must be an integer in [0, {battery.e_max}], got {e0!r}")
     n_policies = len(actions) ** partition.n_subsets
     if n_policies > budget:
         raise BudgetExceededError(
@@ -350,26 +356,28 @@ def _candidate_gains(battery: BatteryModel, arrivals: ArrivalModel, cons: Consum
     The candidates form a prefix tree over the subsets, and one recursive
     walk fills the array, one subarray per prefix. The incumbent is the
     largest gain the array holds so far; queued prefixes do not count
-    towards it. Every bound below loses if it lies below the incumbent less
-    a relative margin of 1e-9, strictly, so no candidate that ties the
-    winner is skipped; what it bounds is then set to -inf and not solved.
-    With ``_BOUND_SWEEPS`` = 0 nothing is bounded.
+    towards it. Every bound is one ``_ratio_bounds`` kernel on its own step,
+    and a bound that ``_loses`` to the incumbent sets what it bounds to -inf,
+    unsolved. With ``_BOUND_SWEEPS`` = 0 nothing is bounded.
 
-    At each depth i, if ``e0`` lies below subset i, a graph search on the
-    rows of the levels below it (fixed by the first i actions) finds whether
-    the chain from ``e0`` ever gets there. If it cannot, no later action
-    changes the gain, so the prefix's whole subarray holds one gain. It is
-    bounded first by ``_trap_bound``, and computed only if the bound does
-    not lose, once, by the class route, ``chain.exact_occupation``.
+    A prefix that fixes the actions of E, the levels below the next subset
+    (the last subset at the last depth), gathers E's actions, charge starts,
+    rewards and rows once. If ``e0`` lies in E, a graph search on E's rows
+    finds whether the chain from ``e0`` ever climbs above E. If it cannot,
+    no later action changes the gain, so the prefix's whole subarray holds
+    one gain. The trap bound, on the closed set of levels that ``e0``
+    reaches, comes first; the gain is computed only if it does not lose,
+    once, by the class route, ``chain.exact_occupation``.
 
-    At the last depth the levels split into E, every subset but the last,
-    and K, the last subset. ``_gain_bound`` first bounds the gains of the
-    prefix's whole row. If some E state never reaches K, every last action
-    then takes the class route. Otherwise E is eliminated once, folded into
-    every charge row, and the prefix is queued; ``_score_group`` scores the
-    queue whenever it holds as many prefixes as fit in ``_GROUP_BYTES`` (one
-    at least), and at the end of the walk, and bounds each of its chains
-    before it solves them.
+    At the last depth, K is the last subset. The row bound, on the MDP in
+    which E keeps its actions and each level of K takes its best one, first
+    bounds the prefix's whole row; it starts from the last row bound's v,
+    less its value at level 0. If some E state never reaches K, every last
+    action then takes the class route. Otherwise E is eliminated once,
+    folded into every charge row, and the prefix is queued; ``_score_group``
+    scores the queue whenever it holds as many prefixes as fit in
+    ``_GROUP_BYTES`` (one at least), and at the end of the walk, and bounds
+    each of its chains before it solves them.
     """
     n_subsets = partition.n_subsets
     rows = charge_matrix(battery, arrivals)
@@ -404,25 +412,39 @@ def _candidate_gains(battery: BatteryModel, arrivals: ArrivalModel, cons: Consum
         depth = len(prefix)
         k = partition.starts[depth]
         if e0 < k or depth == n_subsets - 1:
+            # E, the levels below k: their actions, charge starts, rewards and rows
             choice_e = np.asarray(prefix, dtype=np.int64)[labels[:k]]
-            p_e = rows[start_by_action[states[:k], choice_e]]
-            reach = _reaches_last_subset(p_e > _EDGE_EPS, k)
+            start_e = start_by_action[states[:k], choice_e]
+            j_e = j_by_action[states[:k], choice_e]
+            p_e = rows[start_e]
+            support_e = p_e[:, :k] > _EDGE_EPS
+            # which levels of E reach level k or above: backward from those that step there
+            reach = _reach(np.ascontiguousarray(support_e.T), (p_e[:, k:] > _EDGE_EPS).any(axis=1))
         if e0 < k and not reach[e0]:
             # the chain from e0 never climbs to level k: one gain for the whole subtree
-            if _BOUND_SWEEPS and _trap_bound(rows, start_by_action, j_by_action, choice_e, e0,
-                                             _BOUND_SWEEPS) < best - 1e-9 * abs(best):
-                gains[prefix] = -np.inf
-                return
+            if _BOUND_SWEEPS:
+                # the trap bound, on the closed set of levels that e0 reaches
+                trap = np.flatnonzero(_reach(support_e, e0))
+                p_trap, j_trap = p_e[np.ix_(trap, trap)], j_e[trap]
+                _, upper, _ = _ratio_bounds(lambda u: j_trap + p_trap @ u, 1.0,
+                                            np.zeros(len(trap)))
+                if _loses(upper, best):
+                    gains[prefix] = -np.inf
+                    return
             keep(prefix, _class_gain(rows, start_by_action, j_by_action, choice_e, 0, e0))
         elif depth < n_subsets - 1:
             for a in range(n_acts):
                 fill(prefix + (a,))
         else:
             if _BOUND_SWEEPS:
-                bound, v = _gain_bound(rows, start_by_action, j_by_action, choice_e, v,
-                                       _BOUND_SWEEPS)
-                if bound < best - 1e-9 * abs(best):
-                    # strictly below, so no candidate that ties the winner is skipped
+                # the row bound: E keeps its actions and each level of K takes its best
+                def step(u):
+                    w = rows @ u
+                    best_k = (w[start_by_action[k:]] + j_by_action[k:]).max(axis=1)
+                    return np.concatenate((w[start_e] + j_e, best_k))
+
+                _, upper, v = _ratio_bounds(step, 1.0, v - v[0])
+                if _loses(upper, best):
                     gains[prefix] = -np.inf
                     return
             if not reach.all():
@@ -432,8 +454,8 @@ def _candidate_gains(battery: BatteryModel, arrivals: ArrivalModel, cons: Consum
                 return
             # eliminate E: (I - P_EE)[Y | u | t] = [P_EK | r_E | 1], folded into every
             # charge row, gives its law on K and the reward and frames spent in E
-            w = np.linalg.solve(np.eye(k) - p_e[:, :k], np.column_stack(
-                [p_e[:, k:], j_by_action[states[:k], choice_e], np.ones(k)]))
+            w = np.linalg.solve(np.eye(k) - p_e[:, :k],
+                                np.column_stack([p_e[:, k:], j_e, np.ones(k)]))
             fold = rows[:, :k] @ w
             fold[:, :nk] += rows[:, k:]
             queued.append((prefix, choice_e, fold))
@@ -444,44 +466,6 @@ def _candidate_gains(battery: BatteryModel, arrivals: ArrivalModel, cons: Consum
     if queued:
         score_queue()
     return gains
-
-
-def _gain_bound(rows, start_by_action, j_by_action, choice_e, v, sweeps):
-    """Upper bound on the gain, from any start, of every policy whose level e
-    below len(choice_e) takes action ``choice_e[e]``, whatever the levels
-    above take; returns it and the v that the next bound starts from.
-
-    It takes ``sweeps`` value-iteration sweeps from ``v`` on the MDP in
-    which those levels keep their actions and every level above takes its
-    best action. For any v, max (Tv - v) is at least the gain of each
-    stationary policy of that MDP (Odoni, *Oper. Res.* 17, 1969; Puterman,
-    *Markov Decision Processes*, 1994, §8.5), and in exact arithmetic it
-    never rises from one sweep to the next. The v returned is the last Tv
-    less its value at level 0.
-    """
-    k = len(choice_e)
-    start_e = start_by_action[np.arange(k), choice_e]
-    j_e = j_by_action[np.arange(k), choice_e]
-    for _ in range(sweeps):
-        w = rows @ v
-        tv = np.concatenate((w[start_e] + j_e,
-                             (w[start_by_action[k:]] + j_by_action[k:]).max(axis=1)))
-        bound = (tv - v).max()
-        v = tv - tv[0]
-    return bound, v
-
-
-def _trap_bound(rows, start_by_action, j_by_action, choice_e, e0, sweeps) -> float:
-    """Upper bound on the gain from e0 when each level e below len(choice_e)
-    takes action ``choice_e[e]`` and the chain from e0 never climbs past
-    them: ``_ratio_bounds`` on the closed set of levels that e0 reaches, each
-    of whose frames is one."""
-    k = len(choice_e)
-    p = rows[start_by_action[np.arange(k), choice_e], :k]
-    trap = np.flatnonzero(_reach(p > _EDGE_EPS, e0))
-    p = p[np.ix_(trap, trap)]
-    _, upper = _ratio_bounds(lambda v: p @ v, j_by_action[trap, choice_e[trap]], 1.0, sweeps)
-    return float(upper)
 
 
 def _class_gain(rows, start_by_action, j_by_action, choice_e, a, e0) -> float:
@@ -500,9 +484,9 @@ def _score_group(rows, start_by_action, j_by_action, folds, choices, e0, best) -
     Prefix g takes actions ``choices[g]`` on E, and ``folds[g]`` is its fold.
     Chain c of the group is the censored chain on K of one last action. With
     ``_BOUND_SWEEPS`` set, ``_ratio_bounds`` first brackets every chain's
-    gain; the incumbent is the larger of ``best`` and the largest lower
-    bound, and a chain whose upper bound lies below it, less a relative
-    margin of 1e-9, gets -inf and no solve. The laws of the other chains are
+    gain, from v = 0; the incumbent is the larger of ``best`` and the
+    largest lower bound, and a chain whose upper bound ``_loses`` to it gets
+    -inf and no solve. The laws of the other chains are
     solved in chunks of ``_STACK_ENTRIES`` entries, and then checked at once.
     A chain whose law is not trusted takes the class route.
     """
@@ -521,12 +505,10 @@ def _score_group(rows, start_by_action, j_by_action, folds, choices, e0, best) -
         def step(v):
             # P_c v_c is (m[which[c]] @ v_c)[starts[c]]: one product per prefix
             w = m @ v.reshape(n_groups, n_acts, nk).transpose(0, 2, 1)
-            return w[which[:, None], starts, act[:, None]]
+            return earned + w[which[:, None], starts, act[:, None]]
 
-        lower, upper = _ratio_bounds(step, earned, frames, _BOUND_SWEEPS)
-        incumbent = np.fmax.reduce(lower, initial=best)
-        # strictly below, so no candidate that ties the winner is skipped
-        gains[upper < incumbent - 1e-9 * abs(incumbent)] = -np.inf
+        lower, upper, _ = _ratio_bounds(step, frames, np.zeros_like(earned))
+        gains[_loses(upper, np.fmax.reduce(lower, initial=best))] = -np.inf
     live = np.flatnonzero(np.isnan(gains))
     which, starts = which[live], starts[live]
     pi, residual = np.empty((len(live), nk)), np.empty(len(live))
@@ -555,32 +537,35 @@ def _score_group(rows, start_by_action, j_by_action, folds, choices, e0, best) -
     return gains.reshape(n_groups, n_acts)
 
 
-def _ratio_bounds(step, earned, frames, sweeps):
+def _ratio_bounds(step, frames, v):
     """Lower and upper bounds on the gain, from any start, of each chain of a
-    stack: chain c earns ``earned[c, i]`` over ``frames[c, i]`` >= 1 frames
-    at level i, then moves by P_c, and ``step(v)`` gives P_c v_c for each c.
+    stack, and the last v: chain c earns R_c[i] over ``frames[c, i]`` >= 1
+    frames at level i, then moves by P_c, and ``step(v)`` gives R_c + P_c v_c
+    for each c. A chain may also be an MDP, whose step takes the best action
+    at each level.
 
-    With R = ``earned`` and T = ``frames``, each of the ``sweeps``
-    value-iteration sweeps takes d = (R + P v - v) / T and then v + d, from
-    v = 0. That is value iteration on Schweitzer's transformed chain,
-    I + (P - I) / T, which earns R / T a frame and whose closed classes have
-    the gains of this one's (Schweitzer, *J. Math. Anal. Appl.* 34, 1971).
-    So min d and max d bracket the gain of every closed class, and so every
-    gain from a start, of a multichain chain too (Odoni 1969); in exact
-    arithmetic, more sweeps never widen the bracket.
+    Each of the ``_BOUND_SWEEPS`` sweeps, at least one, takes
+    d = (step(v) - v) / T and then v + d, from the ``v`` given. That is value
+    iteration on Schweitzer's transformed chain, I + (P - I) / T, which
+    earns R / T a frame and whose closed classes have the gains of this
+    one's (Schweitzer, *J. Math. Anal. Appl.* 34, 1971). So min d and max d
+    bracket the gain of every closed class, and so every gain from a start,
+    of a multichain chain too; for an MDP, max d bounds the gain of every
+    stationary policy (Odoni, *Oper. Res.* 17, 1969; Puterman, *Markov
+    Decision Processes*, 1994, §8.5). In exact arithmetic, more sweeps never
+    widen the bracket.
     """
-    v = np.zeros_like(earned)
-    for _ in range(sweeps):
-        d = (earned + step(v) - v) / frames
-        v += d
-    return d.min(axis=-1), d.max(axis=-1)
+    for _ in range(_BOUND_SWEEPS):
+        d = (step(v) - v) / frames
+        v = v + d
+    return d.min(axis=-1), d.max(axis=-1), v
 
 
-def _reaches_last_subset(support_e: np.ndarray, k0: int) -> np.ndarray:
-    """Which levels below k0 can reach level k0 or above, given the support of
-    their rows (levels below k0 x all levels)."""
-    # backward from the levels that step up to k0 or above directly
-    return _reach(np.ascontiguousarray(support_e[:, :k0].T), support_e[:, k0:].any(axis=1))
+def _loses(bound, incumbent):
+    """Whether a gain bound loses to ``incumbent``: it lies below it less a
+    relative margin of 1e-9, strictly, so no candidate that ties the winner
+    is skipped."""
+    return bound < incumbent - 1e-9 * abs(incumbent)
 
 
 def refine_partition_search(battery, arrivals, cons, reward, actions, partition,

@@ -357,8 +357,9 @@ class TestLongRunAverage:
         with pytest.raises(NumericError, match="exactly singular"):
             exact_occupation(np.eye(3), np.arange(3), 0)
 
-    @pytest.mark.parametrize("e0", [-1, 101])
+    @pytest.mark.parametrize("e0", [-1, 101, 1.5, True, None])
     def test_rejects_start_outside_battery(self, e0):
+        # a start that is not an integer (a bool is not one) used to fail deep in NumPy
         policy = StatePolicy(actions=(0,) * 101)
         transition, _ = build_chain(BASELINE, GEOM20, CONS, REWARD, policy)
         with pytest.raises(DomainError):
@@ -496,15 +497,23 @@ class TestSimulate:
         peak = traced_peak(lambda: simulate(*args, frames=frames, seed=1))
         assert peak <= 13 * frames
 
-    @pytest.mark.parametrize("e0", [-1, 101])
+    @pytest.mark.parametrize("e0", [-1, 101, 1.5, True])
     def test_rejects_start_outside_battery(self, e0):
         policy = StatePolicy(actions=(0,) * 101)
         with pytest.raises(DomainError):
             simulate(BASELINE, GEOM20, CONS, REWARD, policy, frames=10, seed=1, e0=e0)
 
-    @pytest.mark.parametrize("frames", [0, 10 ** 8 + 1])
+    @pytest.mark.parametrize("frames", [0, 10 ** 8 + 1, 1000.0, True])
     def test_rejects_frame_count_out_of_range(self, frames):
-        # checked before any arrival is drawn, so the large count allocates nothing
+        # checked before any arrival is drawn, so the large count allocates nothing;
+        # a count that is not an integer (a bool is not one) used to fail in NumPy
         policy = StatePolicy(actions=(0,) * 101)
         with pytest.raises(DomainError, match="frames"):
             simulate(BASELINE, GEOM20, CONS, REWARD, policy, frames=frames, seed=1)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, False, None])
+    def test_rejects_seed_that_is_not_a_whole_number(self, seed):
+        # each used to fail in NumPy's generator with its own TypeError or ValueError
+        policy = StatePolicy(actions=(0,) * 101)
+        with pytest.raises(DomainError, match="seed"):
+            simulate(BASELINE, GEOM20, CONS, REWARD, policy, frames=10, seed=seed)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 import tracemalloc
 import warnings
 from dataclasses import dataclass
@@ -45,6 +46,7 @@ from ehpolicy.chain import (
 from ehpolicy.core import DeviceTableConsumption, _spend_tables, arrival_model_from_pmf
 from ehpolicy.errors import (
     BudgetExceededError,
+    ConfigurationError,
     ConvergenceError,
     DomainError,
     UnsupportedPartitionError,
@@ -150,6 +152,36 @@ def search_cases():
     for battery, arrivals, actions, part, e0 in SEARCH_EXAMPLES:
         yield battery, arrivals, CONS, REWARD, actions, part, e0
     yield *fig3_coarse_stage(), 0
+
+
+def bound_calls(args, kind):
+    """The ``_ratio_bounds`` calls of ``_candidate_gains(*args)`` that make the
+    search's ``kind`` of bound, "row" or "trap", as (step, v, caller): the
+    step, the v that the bound started from and the caller's locals, whose
+    ``choice_e`` holds the prefix's actions on E."""
+    ratio_bounds = optimize._ratio_bounds
+    calls = []
+
+    def recorded(step, frames, v):
+        caller = dict(sys._getframe(1).f_locals)
+        if caller.get("prefix") is not None:
+            calls.append(("trap" if "trap" in caller else "row", step, v, caller))
+        return ratio_bounds(step, frames, v)
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(optimize, "_ratio_bounds", recorded)
+        _candidate_gains(*args)
+    return [call[1:] for call in calls if call[0] == kind]
+
+
+def upper_bounds(step, v, sweeps):
+    """The upper bound of ``_ratio_bounds(step, 1.0, v)`` after each of ``sweeps``."""
+    bounds = []
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        for n in sweeps:
+            monkeypatch.setattr(optimize, "_BOUND_SWEEPS", n)
+            bounds.append(optimize._ratio_bounds(step, 1.0, v)[1])
+    return bounds
 
 
 def nearly_decomposable_model():
@@ -839,29 +871,18 @@ class TestSearchPartitionPolicy:
             # whole rows: 671 of its 676, by the prefix, trap and chain bounds together
             assert np.count_nonzero(pruned.all(axis=-1)) >= 40
 
-    def test_gain_bound_is_an_upper_bound(self):
-        # every bounded prefix of SEARCH_EXAMPLES, from the v its bound started
-        # from: the bound lies above each last action's gain, and more sweeps
-        # never raise it; a bound that has settled moves by a few ulps either way,
-        # far below the search's pruning margin of 1e-9 relative
-        bound_sweeps = sorted({1, 5, optimize._BOUND_SWEEPS, 10})
-        gain_bound = optimize._gain_bound
+    def test_row_bound_is_an_upper_bound(self):
+        # every row bound of SEARCH_EXAMPLES, from the v it started from: the
+        # bound lies above each last action's gain, and more sweeps never raise
+        # it; a bound that has settled moves by a few ulps either way, far below
+        # the search's pruning margin of 1e-9 relative
         checked = 0
         for battery, arrivals, actions, part, e0 in SEARCH_EXAMPLES:
-            calls = []
-
-            def recorded(*args):
-                calls.append(args[:5])
-                return gain_bound(*args)
-
-            with pytest.MonkeyPatch.context() as monkeypatch:
-                monkeypatch.setattr(optimize, "_gain_bound", recorded)
-                _candidate_gains(battery, arrivals, CONS, REWARD, actions, part, e0)
-            for rows, start_by_action, j_by_action, choice_e, v in calls:
-                bounds = [gain_bound(rows, start_by_action, j_by_action, choice_e, v, sweeps)[0]
-                          for sweeps in bound_sweeps]
+            args = (battery, arrivals, CONS, REWARD, actions, part, e0)
+            for step, v, caller in bound_calls(args, "row"):
+                bounds = upper_bounds(step, v, (1, 5, 10))
                 assert all(b <= a + 1e-12 * abs(a) for a, b in zip(bounds, bounds[1:]))
-                below = tuple(actions.actions[i] for i in choice_e)
+                below = tuple(actions.actions[i] for i in caller["choice_e"])
                 for a in actions.actions:
                     policy = StatePolicy(actions=below + (a,) * (battery.e_max + 1 - len(below)))
                     gain = evaluate_policy(battery, arrivals, CONS, REWARD, policy,
@@ -899,13 +920,14 @@ class TestSearchPartitionPolicy:
                 for sweeps in (1, 5, 10, 20):
                     monkeypatch.setattr(optimize, "_BOUND_SWEEPS", sweeps)
                     score_group(*group)
-                for (lower, upper), (lower_after, upper_after) in zip(brackets, brackets[1:]):
+                for (lower, upper, _), (lower_after, upper_after, _) in zip(brackets,
+                                                                          brackets[1:]):
                     assert (lower_after >= lower - 1e-12 * np.abs(lower)).all()
                     assert (upper_after <= upper + 1e-12 * np.abs(upper)).all()
                 # within a few ulps of the group's largest gain, far below the
                 # search's pruning margin of 1e-9 relative
                 tol = 1e-12 * np.abs(gains).max()
-                for lower, upper in brackets:
+                for lower, upper, _ in brackets:
                     assert (lower <= gains + tol).all() and (gains <= upper + tol).all()
                 checked["law"] += np.count_nonzero(by_law)
                 checked["class route"] += np.count_nonzero(~by_law)
@@ -925,7 +947,7 @@ class TestSearchPartitionPolicy:
         _candidate_gains(battery, arrivals, CONS, REWARD, actions, part, e0)
         brackets.clear()
         score_group(*groups[0], -np.inf)
-        (_, upper), = brackets
+        (_, upper, _), = brackets
         top = int(upper.argmax())
         assert upper[top] > 0
         assert np.isfinite(score_group(*groups[0], upper[top]).flat[top])
@@ -934,19 +956,13 @@ class TestSearchPartitionPolicy:
     def test_trap_bound_is_an_upper_bound(self):
         # every trapped prefix of SEARCH_EXAMPLES and fig3's coarse stage: its
         # bound lies above its class-route gain, and more sweeps never raise it
-        trap_bound = optimize._trap_bound
         checked = 0
         for args in search_cases():
-            calls = []
-            with pytest.MonkeyPatch.context() as monkeypatch:
-                monkeypatch.setattr(optimize, "_trap_bound",
-                                    lambda *a: calls.append(a[:5]) or trap_bound(*a))
-                _candidate_gains(*args)
-            for rows, start_by_action, j_by_action, choice_e, e0 in calls:
-                bounds = [trap_bound(rows, start_by_action, j_by_action, choice_e, e0, sweeps)
-                          for sweeps in (1, 5, 10, 20)]
+            for step, v, caller in bound_calls(args, "trap"):
+                bounds = upper_bounds(step, v, (1, 5, 10, 20))
                 assert all(b <= a + 1e-12 * abs(a) for a, b in zip(bounds, bounds[1:]))
-                gain = optimize._class_gain(rows, start_by_action, j_by_action, choice_e, 0, e0)
+                gain = optimize._class_gain(*(caller[name] for name in (
+                    "rows", "start_by_action", "j_by_action", "choice_e")), 0, caller["e0"])
                 assert all(bound >= gain for bound in bounds)
                 checked += 1
         assert checked
@@ -965,7 +981,16 @@ class TestSearchPartitionPolicy:
         assert len(occupations) <= 4
         assert sum(laws) <= 100
 
-    @pytest.mark.parametrize("e0", [-1, 101])
+    @pytest.mark.parametrize("search", [search_partition_policy, refine_partition_search])
+    @pytest.mark.parametrize("partition", [Partition(e_max=50, starts=(0, 25)),
+                                           Partition(e_max=150, starts=(0, 120))])
+    def test_rejects_partition_of_another_battery(self, search, partition):
+        # a smaller partition used to return a winner for the wrong chain, and a
+        # larger one to fail on an index
+        with pytest.raises(ConfigurationError, match="partition has e_max"):
+            search(BASELINE, GEOM20, CONS, REWARD, ActionSet((0, 5)), partition)
+
+    @pytest.mark.parametrize("e0", [-1, 101, 1.5, True])
     def test_rejects_start_outside_battery(self, e0):
         with pytest.raises(DomainError):
             search_partition_policy(BASELINE, GEOM20, CONS, REWARD, ActionSet((0, 5)),

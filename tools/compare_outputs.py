@@ -3,7 +3,8 @@ diff their outputs.
 
     python tools/compare_outputs.py <rev>
 
-<rev> is checked out into a temporary `git worktree`. Each command below
+<rev> is unpacked with `git archive <rev> | tar -x` into a temporary
+directory, so nothing is written under `.git`. Each command below
 runs on both trees at seeds 1 and 3, `sweep` with `--threads 1`, and
 `validate` runs once on each preset, each in a fresh interpreter with
 BLAS, OpenMP and MKL on one thread. Every file the commands write is
@@ -124,14 +125,15 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="compare_outputs_") as scratch:
         out = Path(scratch)
         checkout = out / "checkout"
-        subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--detach", "--quiet",
-                        str(checkout), args.rev], check=True)
-        try:
-            usage_rev = run_all(checkout, out / "rev")
-            usage_tree = run_all(ROOT, out / "tree")
-        finally:
-            subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force",
-                            str(checkout)], check=True)
+        checkout.mkdir()
+        archive = subprocess.Popen(["git", "-C", str(ROOT), "archive", args.rev],
+                                   stdout=subprocess.PIPE)
+        unpacked = subprocess.run(["tar", "-x", "-C", str(checkout)], stdin=archive.stdout)
+        archive.stdout.close()
+        if archive.wait() or unpacked.returncode:
+            raise SystemExit(f"could not unpack {args.rev}")
+        usage_rev = run_all(checkout, out / "rev")
+        usage_tree = run_all(ROOT, out / "tree")
         found = differences(out / "rev", out / "tree")
     print(f"peak RSS and wall time: {args.rev} -> this tree")
     for name, (peak, wall) in usage_rev.items():
