@@ -153,6 +153,8 @@ class Partition:
     starts: tuple
 
     def __post_init__(self):
+        if not all(_is_int(s) for s in self.starts):
+            raise ConfigurationError(f"subset starts must be integers, got {self.starts!r}")
         starts = tuple(int(s) for s in self.starts)
         object.__setattr__(self, "starts", starts)
         if not starts or starts[0] != 0:
@@ -238,19 +240,39 @@ Policy = Union[StatePolicy, PartitionPolicy]
 
 @lru_cache(maxsize=32)
 def charge_matrix(battery: BatteryModel, arrivals: ArrivalModel) -> np.ndarray:
-    """Row ``a`` is the post-frame state distribution when charging starts from level ``a``.
+    """The charge rows as a band: ``band[s, d]`` is the chance that a frame
+    charging from level ``s`` ends at level ``s + d``, for d = 0..b_max.
 
     Any policy's transition row for state e under consumption D is the
-    charge row at max(0, e - D), so this matrix is policy-independent.
+    charge row at max(0, e - D), so the band is policy-independent. A frame
+    stores at most the quanta that arrive (no efficiency exceeds 1) and
+    loses none, so the dense row at s is zero outside [s, s + b_max], and
+    the band holds (e_max + 1) x (b_max + 1) entries where the dense matrix
+    holds (e_max + 1)^2. ``_gather_band`` on every level expands it.
     """
     table = next_state_table(battery, arrivals.b_max)
     pmf = arrivals.pmf_array()
-    n = battery.e_max + 1
-    rows = np.zeros((n, n))
+    n, width = table.shape
     starts = np.arange(n)
-    for b in range(arrivals.b_max + 1):
-        np.add.at(rows, (starts, table[:, b]), pmf[b])
-    return rows
+    offsets = table - starts[:, None]
+    if offsets.min() < 0 or offsets.max() >= width:
+        raise NumericError("a frame's charge fell or rose by more than its arrivals")
+    band = np.zeros((n, width))
+    for b in range(width):
+        np.add.at(band, (starts, offsets[:, b]), pmf[b])
+    return _check_stochastic(band, square=False)
+
+
+def _band_product(band: np.ndarray, v: np.ndarray, at=None) -> np.ndarray:
+    """P v for the dense charge matrix P that ``band`` stores, or its entries
+    at the levels ``at`` alone: entry s is the sum over d of band[s, d] v[s + d]."""
+    n, width = band.shape
+    padded = np.zeros(n + width - 1)
+    padded[:n] = v
+    windows = np.lib.stride_tricks.sliding_window_view(padded, width)
+    if at is not None:
+        band, windows = band[at], windows[at]
+    return np.einsum("sd,sd->s", band, windows)
 
 
 def consumption_vector(policy: Policy, cons: ConsumptionMap, e_max: int) -> np.ndarray:
@@ -277,17 +299,45 @@ def _gather_block(rows: np.ndarray, starts: np.ndarray, levels: np.ndarray) -> n
     return rows[np.ix_(starts[levels], levels)]
 
 
+def _gather_band(band: np.ndarray, starts: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """``_gather_block`` on the dense rows that ``band`` stores, gathered from
+    the band: entry (i, j) is ``band[s, levels[j] - s]`` with s =
+    ``starts[levels[i]]``, and 0 where that offset lies outside the band. A
+    boolean band gives the block's boolean support."""
+    src = starts[levels]
+    # row i's entries lie on the levels lo[i]..hi[i]-1 of ``levels``
+    lo = np.searchsorted(levels, src)
+    hi = np.searchsorted(levels, src + band.shape[1] - 1, side="right")
+    counts = hi - lo
+    i = np.repeat(np.arange(len(levels)), counts)
+    j = np.arange(counts.sum()) + np.repeat(lo - np.cumsum(counts) + counts, counts)
+    block = np.zeros((len(levels), len(levels)), dtype=band.dtype)
+    block[i, j] = band[src[i], levels[j] - src[i]]
+    return block
+
+
 # ---------------------------------------------------------------------------
 # Long-run average reward
 # ---------------------------------------------------------------------------
 
-def _check_stochastic(transition: np.ndarray) -> np.ndarray:
-    p = np.asarray(transition, dtype=float)
-    if p.ndim != 2 or p.shape[0] != p.shape[1]:
+def _check_stochastic(rows: np.ndarray, square: bool = True) -> np.ndarray:
+    """``rows`` as a float array, refused unless each row is a law: finite,
+    nonnegative and summing to 1; ``square`` also requires a square matrix."""
+    p = np.asarray(rows, dtype=float)
+    if square and (p.ndim != 2 or p.shape[0] != p.shape[1]):
         raise NumericError("transition matrix must be square")
+    # NaN fails every comparison below, so it is refused on its own
+    if not np.isfinite(p).all():
+        raise NumericError("transition matrix has a non-finite entry")
     if np.any(p < -1e-12) or np.any(np.abs(p.sum(axis=1) - 1.0) > 1e-10):
         raise NumericError("transition matrix is not row-stochastic")
     return p
+
+
+def _check_start(e0, n: int) -> None:
+    """Refuse an initial state ``e0`` that is not one of the n levels."""
+    if not _is_int(e0) or not 0 <= e0 < n:
+        raise DomainError(f"initial state must be an integer in [0, {n}), got {e0!r}")
 
 
 def exact_occupation(rows: np.ndarray, starts, e0: int) -> np.ndarray:
@@ -299,7 +349,8 @@ def exact_occupation(rows: np.ndarray, starts, e0: int) -> np.ndarray:
 
     This is the Cesaro limit of the state distribution started at e0, found
     by graph search and dense solves rather than by iterating the chain.
-    Only the block on the levels reachable from e0 is gathered and solved.
+    Only the block on the levels reachable from e0 is gathered and solved,
+    by ``_block_occupation``.
     """
     rows = _check_stochastic(rows)
     n = len(rows)
@@ -307,10 +358,14 @@ def exact_occupation(rows: np.ndarray, starts, e0: int) -> np.ndarray:
     if (starts.shape != (n,) or not np.issubdtype(starts.dtype, np.integer)
             or not np.all((0 <= starts) & (starts < n))):
         raise DomainError(f"starts must be {n} levels in [0, {n})")
-    if not _is_int(e0) or not 0 <= e0 < n:
-        raise DomainError(f"initial state must be an integer in [0, {n}), got {e0!r}")
+    _check_start(e0, n)
     levels = np.flatnonzero(_reach(np.take(rows > _EDGE_EPS, starts, axis=0), e0))
-    p = _gather_block(rows, starts, levels)
+    return _block_occupation(_gather_block(rows, starts, levels), levels, e0, n)
+
+
+def _block_occupation(p: np.ndarray, levels: np.ndarray, e0: int, n: int) -> np.ndarray:
+    """Limiting occupation from ``e0``, over all n levels, of a chain whose
+    block on the sorted ``levels`` that e0 reaches is ``p``."""
     e0 = int(np.searchsorted(levels, e0))
     classes = _closed_classes(p > _EDGE_EPS)
 
@@ -345,10 +400,16 @@ def exact_occupation(rows: np.ndarray, starts, e0: int) -> np.ndarray:
 def evaluate_policy(battery: BatteryModel, arrivals: ArrivalModel, cons: ConsumptionMap,
                     reward: RewardModel, policy: Policy, e0: int = 0) -> float:
     """Long-run average reward per frame of a policy's chain from ``e0``: the
-    limiting occupation of ``exact_occupation`` on the charge matrix, times
-    the reward of each level; no n x n transition matrix is formed."""
+    limiting occupation that ``exact_occupation`` finds, times the reward of
+    each level. The block reachable from e0 is gathered from the charge band
+    and solved by ``_block_occupation``; no n x n float array is formed."""
+    n = battery.e_max + 1
+    _check_start(e0, n)
+    band = charge_matrix(battery, arrivals)
     starts, state_reward = _level_tables(cons, reward, policy, battery.e_max)
-    return float(exact_occupation(charge_matrix(battery, arrivals), starts, e0) @ state_reward)
+    levels = np.flatnonzero(_reach(_gather_band(band > _EDGE_EPS, starts, np.arange(n)), e0))
+    occupation = _block_occupation(_gather_band(band, starts, levels), levels, e0, n)
+    return float(occupation @ state_reward)
 
 
 # ---------------------------------------------------------------------------
@@ -418,9 +479,12 @@ def _walk_lanes(step: np.ndarray, draws: np.ndarray, start: int) -> np.ndarray:
     frames = len(draws)
     length = max(math.isqrt(frames), _MIN_LANE)
     n_lanes = -(-frames // length)
-    lanes = np.zeros(n_lanes * length, dtype=draws.dtype)  # the last lane is padded
-    lanes[:frames] = draws
-    lanes = np.ascontiguousarray(lanes.reshape(n_lanes, length).T)  # (frame, lane)
+    # (frame, lane): lane i draws frames i·length onwards, and the last is
+    # padded; written in place, with no lane-major copy
+    lanes = np.zeros((length, n_lanes), dtype=draws.dtype)
+    whole = frames // length
+    lanes[:, :whole] = draws[:whole * length].reshape(whole, length).T
+    lanes[:frames - whole * length, n_lanes - 1] = draws[whole * length:]
 
     # pass 1: every lane from its guessed start; path[j] holds the offsets at frame j
     path = np.zeros((length + 1, n_lanes), dtype=step.dtype)

@@ -13,8 +13,9 @@ from .chain import (
     Partition,
     PartitionPolicy,
     StatePolicy,
+    _band_product,
     _closed_classes,
-    _gather_block,
+    _gather_band,
     _reach,
     _stack_reach,
     _stationary_laws,
@@ -62,7 +63,7 @@ def solve_perfect_soc(battery: BatteryModel, arrivals: ArrivalModel, cons: Consu
     """Gain-optimal deterministic per-state policy by Howard policy iteration.
 
     It starts from the greedy policy of a few value-iteration sweeps. Each
-    step evaluates the current policy on the charge matrix and improves it
+    step evaluates the current policy on the charge band and improves it
     greedily, first on the gain P·g and then on r + P·h (multichain policy
     iteration, Puterman, *Markov Decision Processes*, 1994, §9.2). A state
     keeps its action unless another beats it by more than a relative
@@ -81,30 +82,32 @@ def solve_perfect_soc(battery: BatteryModel, arrivals: ArrivalModel, cons: Consu
 
     n = battery.e_max + 1
     states = np.arange(n)
+    # the band is cached: built before the block tables, it does not sit above
+    # them on the heap and keep their pages once they are freed
+    band = charge_matrix(battery, arrivals)
+    edges = band > _EDGE_EPS
     dcons, rates = _action_costs(cons, reward, actions)
     blocks = _action_blocks(dcons, rates, n)
     buf = np.empty(max(start.size for _, start, _ in blocks))
-    rows = charge_matrix(battery, arrivals)
-    edges = rows > _EDGE_EPS
     h = np.zeros(n)
     choice = np.empty(n, dtype=np.intp)
     for _ in range(_START_SWEEPS):
-        for at, _, q in _block_values(blocks, rows @ h, buf):
+        for at, _, q in _block_values(blocks, _band_product(band, h), buf):
             _row_best(q, choice[at], h[at])
     for _ in range(_MAX_ITERATIONS):
         start, earned = _spend_tables(states, dcons[choice], rates[choice])
-        gain, bias = _policy_values(rows, edges, start, earned)
+        gain, bias = _policy_values(band, edges, start, earned)
         allowed = None
         if gain.min() < gain.max():
             # closed classes with different gains: improve on P·g first
-            v = rows @ gain
+            v = _band_product(band, gain)
             improved, floor = _improve(blocks, v, buf, choice, v[start], with_reward=False)
             if not np.array_equal(improved, choice):
                 choice = improved
                 continue
             allowed = (v, floor)
         # each state's action is allowed, since it kept its place in the step on P·g
-        v = rows @ bias
+        v = _band_product(band, bias)
         improved, floor = _improve(blocks, v, buf, choice, v[start] + earned, allowed=allowed)
         if np.array_equal(improved, choice):
             break
@@ -223,9 +226,9 @@ def _first_reaching(blocks, v, buf, floor, allowed=None):
     return first
 
 
-def _policy_values(rows, edges, starts, reward):
-    """Gain and bias vectors of the policy whose state e charges from ``starts[e]``;
-    ``edges`` is ``rows > _EDGE_EPS``.
+def _policy_values(band, edges, starts, reward):
+    """Gain and bias vectors of the policy whose state e charges from ``starts[e]``,
+    on the charge band ``band``; ``edges`` is ``band > _EDGE_EPS``.
 
     They solve g = P·g and g + h = r + P·h, with h = 0 at the lowest state
     of each closed class.
@@ -240,7 +243,7 @@ def _policy_values(rows, edges, starts, reward):
     absorption law averages the class gains first.
     """
     n = len(starts)
-    support = np.take(edges, starts, axis=0)
+    support = _gather_band(edges, starts, np.arange(n))
     blocks = _closed_classes(support)
     n_classes = len(blocks)
     recurrent = np.zeros(n, dtype=bool)
@@ -264,7 +267,7 @@ def _policy_values(rows, edges, starts, reward):
     gain = np.zeros(n)
     bias = np.zeros(n)
     for i, levels in enumerate(blocks):
-        a = _identity_minus(_gather_block(rows, starts, levels))
+        a = _identity_minus(_gather_band(band, starts, levels))
         if i < n_classes:
             # column 0 carries the class gain in place of h = 0 at its lowest level
             a[:, 0] = 1.0
@@ -275,10 +278,11 @@ def _policy_values(rows, edges, starts, reward):
         else:
             # what flows into the blocks solved so far: gain and bias are still 0
             # on this block, and no edge joins it to another transient block
-            into = (rows @ np.column_stack((gain, bias)))[starts[levels]]
-            gain[levels] = (np.linalg.solve(a, into[:, 0]) if n_classes > 1
+            at = starts[levels]
+            gain[levels] = (np.linalg.solve(a, _band_product(band, gain, at)) if n_classes > 1
                             else gain[blocks[0][0]])
-            bias[levels] = np.linalg.solve(a, reward[levels] - gain[levels] + into[:, 1])
+            bias[levels] = np.linalg.solve(
+                a, reward[levels] - gain[levels] + _band_product(band, bias, at))
     return gain, bias
 
 
@@ -380,9 +384,10 @@ def _candidate_gains(battery: BatteryModel, arrivals: ArrivalModel, cons: Consum
     each of its chains before it solves them.
     """
     n_subsets = partition.n_subsets
-    rows = charge_matrix(battery, arrivals)
     n = battery.e_max + 1
     states = np.arange(n)
+    # the dense charge rows, since E's elimination reads whole rows
+    rows = _gather_band(charge_matrix(battery, arrivals), states, states)
     start_by_action, j_by_action = _action_tables(battery, cons, reward, actions)
     labels = partition.labels()
     n_acts = len(actions)
@@ -465,6 +470,9 @@ def _candidate_gains(battery: BatteryModel, arrivals: ArrivalModel, cons: Consum
     fill(())
     if queued:
         score_queue()
+    # fill refers to itself, so its closure, dense rows included, would
+    # otherwise outlive the call until a garbage-collection pass
+    del fill
     return gains
 
 

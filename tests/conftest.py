@@ -12,6 +12,9 @@
   in the arrival CDF; the library samples by bucketed inverse CDF.
 - ``rvi_reference``: relative value iteration on the half-lazy kernel; the
   library runs Howard policy iteration.
+- ``dense_charge_rows``: the charge matrix as a dense (e_max+1)^2 array,
+  scattered from the next-state table; the library stores its band of
+  b_max+1 offsets per level.
 - ``build_chain``: a policy's whole chain as a dense transition matrix; the
   library gathers only the block reachable from ``e0``.
 - ``attained_reward``: the reward rule for one level and one power; the
@@ -29,11 +32,23 @@ from ehpolicy.chain import (
     StatePolicy,
     _check_stochastic,
     _level_tables,
-    charge_matrix,
     consumption_vector,
 )
 from ehpolicy.core import _efficiency_unchecked, next_state_table
 from ehpolicy.errors import ConvergenceError, DomainError
+
+
+def dense_charge_rows(battery, arrivals):
+    """Dense charge matrix: row s is the law of the level a frame that charges
+    from level s ends at, each arrival b adding its chance at its next state."""
+    table = next_state_table(battery, arrivals.b_max)
+    pmf = arrivals.pmf_array()
+    n = battery.e_max + 1
+    rows = np.zeros((n, n))
+    levels = np.arange(n)
+    for b in range(arrivals.b_max + 1):
+        np.add.at(rows, (levels, table[:, b]), pmf[b])
+    return rows
 
 
 def build_chain(battery, arrivals, cons, reward, policy):
@@ -43,7 +58,7 @@ def build_chain(battery, arrivals, cons, reward, policy):
     Returns (transition, state_reward); rows of ``transition`` sum to 1.
     """
     starts, state_reward = _level_tables(cons, reward, policy, battery.e_max)
-    return charge_matrix(battery, arrivals)[starts], state_reward
+    return dense_charge_rows(battery, arrivals)[starts], state_reward
 
 
 def attained_reward(reward, cons, rho, e, actions=None):
@@ -193,7 +208,7 @@ def rvi_reference(battery, arrivals, cons, reward, actions,
     rates = np.asarray(reward.rate(acts), dtype=float)
     j = np.where(feasible, rates[None, :], 0.0)
 
-    rows = charge_matrix(battery, arrivals)
+    rows = dense_charge_rows(battery, arrivals)
     h = np.zeros(n)
     for _ in range(max_sweeps):
         z = rows @ h

@@ -1,8 +1,9 @@
 import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from conftest import attained_reward, build_chain, walk_reference
+from conftest import attained_reward, build_chain, dense_charge_rows, walk_reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
@@ -18,6 +19,7 @@ from ehpolicy import (
     PartitionPolicy,
     QuadraticCapacitor,
     StatePolicy,
+    TabulatedEfficiency,
     evaluate_policy,
     exact_occupation,
     get_preset,
@@ -27,8 +29,12 @@ from ehpolicy import (
     solve_perfect_soc,
 )
 from ehpolicy.chain import (
+    _EDGE_EPS,
     _MIN_LANE,
+    _band_product,
     _closed_classes,
+    _gather_band,
+    _gather_block,
     _level_tables,
     _reach,
     _stack_reach,
@@ -226,6 +232,98 @@ class TestPartition:
         with pytest.raises(ConfigurationError):
             Partition(e_max=10, starts=(0, 5, 5))
 
+    def test_starts_must_be_integers(self):
+        # 2.7 used to become 2 by int(); a bool is not an integer either
+        for starts in ((0, 2.7), (0, 2.0), (0, True), (0, "2")):
+            with pytest.raises(ConfigurationError, match="integers"):
+                Partition(e_max=5, starts=starts)
+        part = Partition(e_max=5, starts=(np.int64(0), np.int32(2)))
+        assert part.starts == (0, 2)
+        assert all(type(s) is int for s in part.starts)
+
+
+# (battery, arrivals) pairs whose bands are checked against the dense oracle
+BAND_CASES = {
+    "quadratic": (BASELINE, GEOM20),
+    "lossless": (BatteryModel(e_max=60, efficiency=ConstantEfficiency(1.0)), GEOM20),
+    "tabulated": (BatteryModel(e_max=80, efficiency=TabulatedEfficiency((0.2, 1.0, 0.3, 0.9))),
+                  make_truncated_geometric(7.0, 30)),
+    "interior-zeros": (BatteryModel(e_max=40, efficiency=QuadraticCapacitor(1.5)),
+                       arrival_model_from_pmf([4, 0, 2, 4, 0, 0, 5, 0, 7])),
+    "battery-below-b-max": (BatteryModel(e_max=6, efficiency=QuadraticCapacitor(1.2)), GEOM20),
+}
+
+
+class TestChargeBand:
+    @pytest.mark.parametrize("case", BAND_CASES)
+    def test_band_is_the_dense_oracle(self, case):
+        battery, arrivals = BAND_CASES[case]
+        band = charge_matrix(battery, arrivals)
+        want = dense_charge_rows(battery, arrivals)
+        n, width = len(want), arrivals.b_max + 1
+        assert band.shape == (n, width)
+        # every offset of the dense rows lies in [0, b_max]
+        level, to = np.nonzero(want)
+        assert np.all((to >= level) & (to - level < width))
+        # entry for entry, bit for bit, and nothing past the top level
+        dense = np.zeros((n, n + width))
+        for s in range(n):
+            dense[s, s:s + width] = band[s]
+        assert np.array_equal(dense[:, :n], want)
+        assert not dense[:, n:].any()
+        assert np.array_equal(_gather_band(band, np.arange(n), np.arange(n)), want)
+
+    def test_lossless_charge_moves_by_the_arrivals(self):
+        # with efficiency 1 a frame that charges from s with b arrivals ends at
+        # s + b, or at the top; so band[s, b] is pmf[b] below the top
+        battery, arrivals = BAND_CASES["lossless"]
+        band = charge_matrix(battery, arrivals)
+        pmf = arrivals.pmf_array()
+        below = battery.e_max - arrivals.b_max
+        assert np.array_equal(band[:below], np.broadcast_to(pmf, (below, len(pmf))))
+
+    @pytest.mark.parametrize("case", BAND_CASES)
+    def test_band_kernels_match_the_dense_rows(self, case):
+        battery, arrivals = BAND_CASES[case]
+        band = charge_matrix(battery, arrivals)
+        rows = dense_charge_rows(battery, arrivals)
+        n = len(rows)
+        rng = np.random.default_rng(len(case))
+        v = rng.standard_normal(n)
+        assert np.abs(_band_product(band, v) - rows @ v).max() <= 1e-15 * np.abs(v).max()
+        at = rng.integers(0, n, size=7)
+        assert np.array_equal(_band_product(band, v, at), _band_product(band, v)[at])
+        # the blocks of random charge starts on all levels, a run of levels and
+        # scattered levels: the band's gather copies the dense rows' entries
+        starts = np.minimum(np.arange(n), rng.integers(0, n, size=n))
+        for levels in (np.arange(n), np.arange(n // 3, n), np.unique(rng.integers(0, n, 9))):
+            assert np.array_equal(_gather_band(band, starts, levels),
+                                  _gather_block(rows, starts, levels))
+            assert np.array_equal(_gather_band(band > _EDGE_EPS, starts, levels),
+                                  _gather_block(rows, starts, levels) > _EDGE_EPS)
+
+    def test_refuses_a_non_finite_band(self):
+        # NaN fails both the sign test and the row-sum test, so it is refused by name
+        @dataclass(frozen=True)
+        class NanArrivals:
+            b_max: int = 1
+
+            def pmf_array(self):
+                return np.array([np.nan, 1.0])
+
+        with pytest.raises(NumericError, match="non-finite"):
+            charge_matrix(BASELINE, NanArrivals())
+
+    def test_refuses_charge_outside_the_band(self, monkeypatch):
+        # a next-state table whose frame loses charge, which no efficiency allows
+        battery = BatteryModel(e_max=7, efficiency=ConstantEfficiency(0.5))
+        arrivals = arrival_model_from_pmf([0.5, 0.5])
+        table = next_state_table(battery, 1).copy()
+        table[3, 0] = 2
+        monkeypatch.setattr("ehpolicy.chain.next_state_table", lambda *args: table)
+        with pytest.raises(NumericError, match="charge"):
+            charge_matrix.__wrapped__(battery, arrivals)
+
 
 class TestBuildChain:
     def test_no_dynamics_is_identity(self):
@@ -356,6 +454,12 @@ class TestLongRunAverage:
                             lambda p: np.full(len(p), np.nan))
         with pytest.raises(NumericError, match="exactly singular"):
             exact_occupation(np.eye(3), np.arange(3), 0)
+
+    def test_refuses_a_non_finite_transition(self):
+        # NaN fails both the sign test and the row-sum test; it used to give [1, 0]
+        for bad in (np.full((2, 2), np.nan), np.array([[np.inf, 0.0], [0.0, 1.0]])):
+            with pytest.raises(NumericError, match="non-finite"):
+                exact_occupation(bad, np.arange(2), 0)
 
     @pytest.mark.parametrize("e0", [-1, 101, 1.5, True, None])
     def test_rejects_start_outside_battery(self, e0):

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from conftest import build_chain, gth_gain
+from conftest import build_chain, dense_charge_rows, gth_gain
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from test_acceptance import random_scenario
@@ -43,7 +43,12 @@ from ehpolicy.chain import (
     charge_matrix,
     exact_occupation,
 )
-from ehpolicy.core import DeviceTableConsumption, _spend_tables, arrival_model_from_pmf
+from ehpolicy.core import (
+    DeviceTableConsumption,
+    _spend_tables,
+    arrival_model_from_pmf,
+    next_state_table,
+)
 from ehpolicy.errors import (
     BudgetExceededError,
     ConfigurationError,
@@ -507,6 +512,24 @@ class TestBlockedImprovement:
             tracemalloc.stop()
         assert peak <= 2.0 * 8 * 1001 ** 2
 
+    def test_memory_of_a_large_solve_and_evaluation(self):
+        # the same solve, then the evaluation of its policy, with the charge band
+        # built inside the trace (the next-state table is cached before it):
+        # a cached dense charge matrix alone would hold 1.0 n^2 doubles
+        battery = BatteryModel(e_max=1000, efficiency=QuadraticCapacitor(1.05))
+        models = (battery, GEOM20, CONS, REWARD, ActionSet(tuple(range(1001))))
+        next_state_table(battery, GEOM20.b_max)
+        charge_matrix.cache_clear()
+        tracemalloc.start()
+        try:
+            policy = solve_perfect_soc(*models)
+            evaluate_policy(*models[:4], policy)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.75 * 8 * 1001 ** 2
+        assert kept < 0.1 * 8 * 1001 ** 2
+
 
 class TestPolicyValues:
     @pytest.mark.parametrize("e_max,spend,span", [
@@ -523,10 +546,10 @@ class TestPolicyValues:
                                        ActionSet(tuple(range(e_max + 1))))
         else:
             policy = StatePolicy(actions=(spend,) * (e_max + 1))
-        rows = charge_matrix(battery, GEOM20)
+        band = charge_matrix(battery, GEOM20)
         starts, state_reward = _level_tables(CONS, REWARD, policy, e_max)
-        gain, bias = _policy_values(rows, rows > _EDGE_EPS, starts, state_reward)
-        transition = rows[starts]
+        gain, bias = _policy_values(band, band > _EDGE_EPS, starts, state_reward)
+        transition = dense_charge_rows(battery, GEOM20)[starts]
         (cls,) = _closed_classes(transition > _EDGE_EPS)
         assert cls.tolist() == list(range(span[0], span[1] + 1))
         want_gain, want_bias = dense_policy_values(transition, state_reward)
@@ -547,8 +570,8 @@ class TestPolicyValues:
         b_max = int(rng.integers(1, 13))
         battery = BatteryModel(e_max=e_max,
                                efficiency=QuadraticCapacitor(float(rng.uniform(1.05, 3.0))))
-        rows = charge_matrix(battery, make_truncated_geometric(rng.uniform(0.2, 0.8) * b_max,
-                                                               b_max))
+        arrivals = make_truncated_geometric(rng.uniform(0.2, 0.8) * b_max, b_max)
+        band, rows = charge_matrix(battery, arrivals), dense_charge_rows(battery, arrivals)
         partition = Partition.uniform(e_max, int(rng.integers(1, 5)))
         policies = [
             StatePolicy(actions=tuple(rng.integers(0, b_max + 1, size=e_max + 1))),
@@ -558,35 +581,35 @@ class TestPolicyValues:
                             actions=(e_max, int(rng.integers(1, e_max + 1))))]
         for policy in policies:
             starts, reward = _level_tables(CONS, REWARD, policy, e_max)
-            gain = _policy_values(rows, rows > _EDGE_EPS, starts, reward)[0]
+            gain = _policy_values(band, band > _EDGE_EPS, starts, reward)[0]
             for e0 in range(e_max + 1):
                 want = exact_occupation(rows, starts, e0) @ reward
                 assert gain[e0] == pytest.approx(want, rel=1e-12, abs=0 if want else 1e-12)
 
     def test_transient_level_draining_into_two_classes(self):
-        # the parity chain of test_multichain_policy_with_equal_class_gains, whose
-        # even and odd levels are two closed classes, plus a level 6 that moves to
-        # level 0 or 3 or stays; the rewards give the classes different gains
-        bat = BatteryModel(e_max=5, efficiency=ConstantEfficiency(1.0))
-        arr = arrival_model_from_pmf([2, 0, 3])
-        parity, _ = build_chain(bat, arr, CONS, REWARD,
-                                StatePolicy(actions=(0, 0, 0, 0, 4, 4)))
+        # a parity chain on the band: levels 1, 3, 5 and levels 2, 4, 6 are two
+        # closed classes (5 and 6 spend back to 1 and 2), and level 0 stays or
+        # moves to 1 or 2; the rewards give the classes different gains
+        band = np.array([[0.5, 0.2, 0.3]] + [[0.4, 0.0, 0.6]] * 4 + [[1.0, 0.0, 0.0]] * 2)
+        starts = np.array([0, 1, 2, 3, 4, 1, 2])
+        reward = np.array([0.7, 0.1, 0.5, 0.2, 0.4, 0.3, 0.6])
         transition = np.zeros((7, 7))
-        transition[:6, :6] = parity
-        transition[6, [0, 3, 6]] = 0.2, 0.3, 0.5
-        reward = np.array([0.1, 0.5, 0.2, 0.4, 0.3, 0.6, 0.7])
-        gain, bias = _policy_values(transition, transition > _EDGE_EPS, np.arange(7), reward)
+        for e, start in enumerate(starts):
+            for d, p in enumerate(band[start]):
+                if p:
+                    transition[e, start + d] = p
+        gain, bias = _policy_values(band, band > _EDGE_EPS, starts, reward)
         assert [c.tolist() for c in _closed_classes(transition > _EDGE_EPS)] == [
-            [0, 2, 4], [1, 3, 5]]
-        assert bias[0] == 0.0 and bias[1] == 0.0
+            [1, 3, 5], [2, 4, 6]]
+        assert bias[1] == 0.0 and bias[2] == 0.0
         # g = P·g and g + h = r + P·h
         assert np.abs(transition @ gain - gain).max() <= 1e-12
         assert np.abs(reward + transition @ bias - gain - bias).max() <= 1e-12
-        # the absorption law: level 6 ends in the even class with probability 2/5
-        assert gain[[0, 2, 4]].tolist() == [gain[0]] * 3
+        # the absorption law: level 0 ends in the odd class with probability 2/5
         assert gain[[1, 3, 5]].tolist() == [gain[1]] * 3
-        assert gain[0] != pytest.approx(gain[1], abs=1e-3)
-        assert gain[6] == pytest.approx(0.4 * gain[0] + 0.6 * gain[1], abs=1e-12)
+        assert gain[[2, 4, 6]].tolist() == [gain[2]] * 3
+        assert gain[1] != pytest.approx(gain[2], abs=1e-3)
+        assert gain[0] == pytest.approx(0.4 * gain[1] + 0.6 * gain[2], abs=1e-12)
 
 
 class TestSearchPartitionPolicy:

@@ -2,8 +2,10 @@
 
 ``perfbench/child.py --trace`` rebinds the harness's and the CLI's module
 names for the policy makers, the evaluator, the bound, the simulation and
-the ``run_*`` drivers. A harness that called those functions by another
-route would silently report zero time for their layers; these runs catch it.
+the ``run_*`` drivers, and the library's names for the cached charge band.
+A harness that called those functions by another route would silently
+report zero time for their layers, and a band built past its cached name
+zero builds; these runs catch both.
 """
 
 import json
@@ -15,7 +17,14 @@ import pytest
 from test_config_cli import SMALL_YAML
 
 ROOT = Path(__file__).resolve().parents[1]
-COMMON = {"harness", "optimize.search", "optimize.upper_bound"}
+
+
+COMMON = {"harness", "chain.charge_matrix", "optimize.search", "optimize.upper_bound"}
+
+
+# the charge band is built once per battery: the sweep searches the real and
+# the ideal battery
+BUILDS = {"search": 1, "sweep": 2, "simulate": 1}
 
 
 @pytest.mark.parametrize("command,spans", [
@@ -36,6 +45,7 @@ def test_traced_run_records_each_layer(tmp_path, command, spans):
     assert result["exit_code"] == 0
     assert spans <= {name for name, *_ in result["spans"]}
     assert result["counts"]["chain.reducible_route"] > 0
+    assert result["builds"]["chain.charge_matrix"] == BUILDS[command]
     # SMALL_YAML searches actions 0, 2, ..., 10 on 2 subsets: 6^2 candidates
     # per search, reported as a plain int that JSON can write
     counts = [attrs["candidates"] for name, *_, attrs in result["spans"]
