@@ -141,6 +141,15 @@ def _stationary_laws(p: np.ndarray) -> np.ndarray:
 # Observation partition and policies
 # ---------------------------------------------------------------------------
 
+def _integers(what: str, values) -> tuple:
+    """``values`` as a tuple of ints; ConfigurationError unless each is an
+    integer, since ``int()`` would truncate 2.7 to 2 and count True as 1."""
+    values = tuple(values)
+    if not all(_is_int(v) for v in values):
+        raise ConfigurationError(f"{what} must be integers, got {values!r}")
+    return tuple(int(v) for v in values)
+
+
 @dataclass(frozen=True)
 class Partition:
     """Contiguous partition of the battery levels {0..e_max} into N observable subsets.
@@ -153,9 +162,7 @@ class Partition:
     starts: tuple
 
     def __post_init__(self):
-        if not all(_is_int(s) for s in self.starts):
-            raise ConfigurationError(f"subset starts must be integers, got {self.starts!r}")
-        starts = tuple(int(s) for s in self.starts)
+        starts = _integers("subset starts", self.starts)
         object.__setattr__(self, "starts", starts)
         if not starts or starts[0] != 0:
             raise ConfigurationError("first subset must start at level 0")
@@ -199,7 +206,7 @@ class StatePolicy:
     actions: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "actions", tuple(int(a) for a in self.actions))
+        object.__setattr__(self, "actions", _integers("policy actions", self.actions))
 
     @property
     def e_max(self) -> int:
@@ -220,7 +227,7 @@ class PartitionPolicy:
     actions: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "actions", tuple(int(a) for a in self.actions))
+        object.__setattr__(self, "actions", _integers("policy actions", self.actions))
         if len(self.actions) != self.partition.n_subsets:
             raise ConfigurationError("one action per subset required")
 

@@ -7,8 +7,6 @@ import numbers
 import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields
 
-import yaml
-
 from .chain import _MAX_FRAMES, Partition
 from .core import (
     ActionSet,
@@ -369,13 +367,12 @@ class ScenarioConfig:
 
     @classmethod
     def from_yaml(cls, text: str) -> "ScenarioConfig":
+        import yaml  # here, so that a preset run never loads PyYAML
+
         data = yaml.safe_load(text)
         if not isinstance(data, dict):
             raise ConfigurationError("config file must contain a mapping")
         return cls.from_dict(data)
-
-    def to_yaml(self) -> str:
-        return yaml.safe_dump(self.to_dict(), sort_keys=True)
 
     @classmethod
     def load(cls, path) -> "ScenarioConfig":
@@ -385,6 +382,8 @@ class ScenarioConfig:
         except (OSError, UnicodeDecodeError) as exc:
             reason = (exc.strerror or exc) if isinstance(exc, OSError) else "not UTF-8 text"
             raise ConfigurationError(f"cannot read config {path}: {reason}") from exc
+        import yaml  # for its error type
+
         try:
             return cls.from_yaml(text)
         except yaml.YAMLError as exc:

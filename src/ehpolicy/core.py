@@ -461,6 +461,8 @@ class ActionSet:
     actions: tuple
 
     def __post_init__(self):
+        if not all(_is_int(a) for a in self.actions):
+            raise DomainError(f"actions must be integers, got {self.actions!r}")
         acts = tuple(int(a) for a in self.actions)
         if sorted(set(acts)) != list(acts):
             raise DomainError("actions must be sorted and distinct")
@@ -469,7 +471,7 @@ class ActionSet:
         object.__setattr__(self, "actions", acts)
 
     def __contains__(self, rho) -> bool:
-        return int(rho) in self.actions
+        return _is_int(rho) and int(rho) in self.actions
 
     def __len__(self) -> int:
         return len(self.actions)

@@ -4,7 +4,7 @@ and emit machine-readable CSV results plus a run manifest."""
 from __future__ import annotations
 
 import csv
-import hashlib
+import json
 import os
 import sys
 import time
@@ -12,7 +12,12 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy
-import scipy  # only for the manifest's version line
+
+try:
+    # CPython's own SHA-256; hashlib would map OpenSSL's libcrypto, about 4 MiB
+    from _sha256 import sha256
+except ImportError:  # Python 3.12+ has no _sha256 module
+    from hashlib import sha256
 
 from . import __version__
 from .chain import Partition, PartitionPolicy, StatePolicy, evaluate_policy, simulate
@@ -85,7 +90,8 @@ def write_policy_file(path, policy, cons) -> Path:
 def write_manifest(cfg: ScenarioConfig, out_dir, command: str) -> Path:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    digest = hashlib.sha256(cfg.to_yaml().encode("utf-8")).hexdigest()
+    # the resolved config, any --seed override included
+    digest = sha256(json.dumps(cfg.to_dict(), sort_keys=True).encode("utf-8")).hexdigest()
     lines = [
         f"command: {command}",
         f"scenario: {cfg.scenario}",
@@ -94,7 +100,6 @@ def write_manifest(cfg: ScenarioConfig, out_dir, command: str) -> Path:
         f"ehpolicy_version: {__version__}",
         f"python_version: {sys.version.split()[0]}",
         f"numpy_version: {numpy.__version__}",
-        f"scipy_version: {scipy.__version__}",
     ]
     path = out_dir / "run_manifest.txt"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")

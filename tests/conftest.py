@@ -22,10 +22,14 @@
 - ``gth_gain``: Grassmann-Taksar-Heyman elimination on the closed class
   reached from ``e0``, which subtracts nothing; the library solves its
   laws by LU, which loses the tiny leaks of nearly decomposable chains.
+
+Also ``to_yaml``, a config written back as YAML for the round-trip and
+config-file tests; the library only reads YAML.
 """
 
 import numpy as np
 import pytest
+import yaml
 
 from ehpolicy.chain import (
     SimulationReport,
@@ -36,6 +40,11 @@ from ehpolicy.chain import (
 )
 from ehpolicy.core import _efficiency_unchecked, next_state_table
 from ehpolicy.errors import ConvergenceError, DomainError
+
+
+def to_yaml(cfg) -> str:
+    """A scenario config as the YAML text that ``ScenarioConfig.from_yaml`` reads back."""
+    return yaml.safe_dump(cfg.to_dict(), sort_keys=True)
 
 
 def dense_charge_rows(battery, arrivals):

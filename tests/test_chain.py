@@ -242,6 +242,28 @@ class TestPartition:
         assert all(type(s) is int for s in part.starts)
 
 
+class TestPolicyActions:
+    # int() would truncate 2.7 to 2 and count True as 1; a string is no action either
+    BAD = ((2.7, 0), (2.0, 0), (1.9, True), (0, "2"))
+
+    def test_state_policy_actions_must_be_integers(self):
+        for acts in self.BAD:
+            with pytest.raises(ConfigurationError, match="integers"):
+                StatePolicy(actions=acts)
+        policy = StatePolicy(actions=(np.int64(3), np.int32(0)))
+        assert policy.actions == (3, 0)
+        assert all(type(a) is int for a in policy.actions)
+
+    def test_partition_policy_actions_must_be_integers(self):
+        part = Partition(5, (0, 3))
+        for acts in self.BAD:
+            with pytest.raises(ConfigurationError, match="integers"):
+                PartitionPolicy(partition=part, actions=acts)
+        policy = PartitionPolicy(partition=part, actions=(np.int64(1), 4))
+        assert policy.actions == (1, 4)
+        assert all(type(a) is int for a in policy.actions)
+
+
 # (battery, arrivals) pairs whose bands are checked against the dense oracle
 BAND_CASES = {
     "quadratic": (BASELINE, GEOM20),

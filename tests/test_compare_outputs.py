@@ -70,4 +70,20 @@ def test_file_on_one_side_only_is_reported(tmp_path, want, side):
 def test_changed_manifest_is_reported(tmp_path, want):
     got = output_tree(tmp_path / "tree", manifest=MANIFEST.replace("seed: 1", "seed: 3"))
     assert compare_outputs.differences(want, got) == [
-        "search_--preset_fig3_seed1/run_manifest.txt: differs"]
+        "search_--preset_fig3_seed1/run_manifest.txt line 2: 'seed: 1\\n' -> 'seed: 3\\n'"]
+
+
+def test_changed_line_end_is_reported(tmp_path, want):
+    got = output_tree(tmp_path / "tree", manifest=MANIFEST.rstrip("\n"))
+    assert compare_outputs.differences(want, got) == [
+        "search_--preset_fig3_seed1/run_manifest.txt line 2: 'seed: 1\\n' -> 'seed: 1'"]
+
+
+@pytest.mark.parametrize("side", ["rev", "tree"])
+def test_missing_manifest_line_is_reported(tmp_path, side):
+    short = MANIFEST.replace("seed: 1\n", "")
+    want = output_tree(tmp_path / "rev", manifest=short if side == "rev" else MANIFEST)
+    got = output_tree(tmp_path / "tree", manifest=short if side == "tree" else MANIFEST)
+    shown = "missing -> 'seed: 1\\n'" if side == "rev" else "'seed: 1\\n' -> missing"
+    assert compare_outputs.differences(want, got) == [
+        f"search_--preset_fig3_seed1/run_manifest.txt line 2: {shown}"]

@@ -1,6 +1,8 @@
 import concurrent.futures
 import csv
 import dataclasses
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -8,6 +10,7 @@ from pathlib import Path
 
 import pytest
 import yaml
+from conftest import to_yaml
 
 import ehpolicy
 from ehpolicy import Partition, ScenarioConfig, get_preset, harness, preset_names
@@ -23,6 +26,7 @@ from ehpolicy.errors import ConfigurationError
 from ehpolicy.harness import RESULT_COLUMNS, build_models
 from ehpolicy.optimize import refine_partition_search, search_partition_policy
 
+ROOT = Path(__file__).resolve().parents[1]
 SMALL_YAML = """\
 scenario: small
 battery:
@@ -57,14 +61,22 @@ def small_config(tmp_path):
 class TestConfig:
     def test_yaml_round_trip(self):
         cfg = get_preset("baseline")
-        again = ScenarioConfig.from_yaml(cfg.to_yaml())
+        again = ScenarioConfig.from_yaml(to_yaml(cfg))
         assert again.to_dict() == cfg.to_dict()
+
+    @pytest.mark.parametrize("name", [*preset_names(), "large_battery.yaml"])
+    def test_json_round_trip(self, name):
+        # the manifest's config_sha256 hashes this JSON text
+        cfg = (get_preset(name) if name in preset_names()
+               else ScenarioConfig.load(ROOT / "perfbench" / name))
+        text = json.dumps(cfg.to_dict(), sort_keys=True)
+        assert ScenarioConfig.from_dict(json.loads(text)) == cfg
 
     def test_small_round_trip(self, small_config):
         cfg = ScenarioConfig.load(small_config)
         assert cfg.scenario == "small"
         assert cfg.battery.e_max == 20
-        again = ScenarioConfig.from_yaml(cfg.to_yaml())
+        again = ScenarioConfig.from_yaml(to_yaml(cfg))
         assert again.to_dict() == cfg.to_dict()
 
     def test_unknown_top_level_key(self):
@@ -297,10 +309,15 @@ class TestCli:
         out = tmp_path / "out"
         main(["search", "--config", str(small_config), "--out", str(out),
               "--seed", "99"])
-        manifest = (out / "run_manifest.txt").read_text(encoding="utf-8")
-        assert "seed: 99" in manifest
-        assert "config_sha256: " in manifest
-        assert "numpy_version: " in manifest
+        lines = (out / "run_manifest.txt").read_text(encoding="utf-8").splitlines()
+        # the digest is of the resolved config, the --seed override included
+        cfg = dataclasses.replace(ScenarioConfig.load(small_config), seed=99)
+        text = json.dumps(cfg.to_dict(), sort_keys=True)
+        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        assert "seed: 99" in lines
+        assert f"config_sha256: {digest}" in lines
+        assert any(line.startswith("numpy_version: ") for line in lines)
+        assert not any(line.startswith("scipy_version") for line in lines)
 
     def test_search_deterministic(self, small_config, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -334,7 +351,7 @@ class TestCli:
         cfg = ScenarioConfig.load(small_config)
         cfg.sweep.e_max = [10, 20]
         swept = tmp_path / "sweep.yaml"
-        swept.write_text(cfg.to_yaml(), encoding="utf-8")
+        swept.write_text(to_yaml(cfg), encoding="utf-8")
         out = tmp_path / "out"
         assert main(["sweep", "--config", str(swept), "--out", str(out)]) == 0
         rows = _read_results(out)
@@ -348,7 +365,7 @@ class TestCli:
         cfg = ScenarioConfig.load(small_config)
         cfg.sweep.e_max = [10, 20]
         swept = tmp_path / "sweep.yaml"
-        swept.write_text(cfg.to_yaml(), encoding="utf-8")
+        swept.write_text(to_yaml(cfg), encoding="utf-8")
         serial, parallel = tmp_path / "s", tmp_path / "p"
         main(["sweep", "--config", str(swept), "--out", str(serial)])
         main(["sweep", "--config", str(swept), "--out", str(parallel),
@@ -617,7 +634,7 @@ class TestCli:
         (row,) = _read_results(out)
         assert row["g_analytic"] == f"{want.best_reward:.12g}"
 
-    def test_cli_import_leaves_out_scipy_sparse(self):
+    def test_cli_import_leaves_out_scipy_sparse(self, small_config, tmp_path):
         # the graph kernels are NumPy; importing scipy.sparse roughly doubles set-up
         src = Path(ehpolicy.__file__).resolve().parents[1]
         code = ("import sys, ehpolicy.cli; "
@@ -626,6 +643,35 @@ class TestCli:
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True, check=True)
         assert done.stdout.strip() == "[]"
+        # a preset run needs none of scipy, PyYAML or hashlib (whose _hashlib
+        # maps OpenSSL's libcrypto): with each blocked, so that importing it
+        # raises, it still runs and writes the same CSVs as an unblocked run
+        blocked = ("scipy", "yaml", "hashlib", "_hashlib")
+        run = ("import sys\n"
+               f"for name in {blocked!r}: sys.modules[name] = None\n"
+               "from ehpolicy.cli import main\n"
+               "sys.exit(main(sys.argv[1:]))")
+        for argv in (["search", "--preset", "fig3"], ["bound", "--preset", "baseline"]):
+            want, got = tmp_path / f"{argv[0]}_free", tmp_path / f"{argv[0]}_blocked"
+            assert main([*argv, "--out", str(want)]) == 0
+            done = subprocess.run([sys.executable, "-c", run, *argv, "--out", str(got)],
+                                  env=env, capture_output=True, text=True)
+            assert done.returncode == 0, done.stderr
+            names = sorted(p.name for p in want.glob("*.csv"))
+            assert names == sorted(p.name for p in got.glob("*.csv")) and names
+            assert _stable_rows(got) == _stable_rows(want)
+            for name in set(names) - {"results.csv"}:
+                assert ((got / name).read_text(encoding="utf-8")
+                        == (want / name).read_text(encoding="utf-8"))
+        # a config file needs PyYAML, but still neither scipy nor OpenSSL
+        code = ("import sys\n"
+                "from ehpolicy.cli import main\n"
+                f"assert main(['search', '--config', {str(small_config)!r}, "
+                f"'--out', {str(tmp_path / 'config')!r}]) == 0\n"
+                f"print(sorted(m for m in {blocked!r} if m in sys.modules))")
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True)
+        assert done.stdout.splitlines()[-1] == "['yaml']"
 
     def test_preset_runs_without_config_file(self, tmp_path):
         out = tmp_path / "out"

@@ -176,6 +176,16 @@ class TestAttainedReward:
             attained_reward(LogSnrReward(0.01), IdentityConsumption(), 3, 50,
                             actions=ActionSet((0, 10)))
 
+    def test_action_set_refuses_non_integers(self):
+        # int() would truncate 1.5 to 1, and answer that 2.7 is the member 2
+        for acts in ((0, 1.5, 3), (0, 2.0), (0, True), (0, "2")):
+            with pytest.raises(DomainError, match="integers"):
+                ActionSet(acts)
+        actions = ActionSet((0, np.int64(2), np.int32(3)))
+        assert actions.actions == (0, 2, 3)
+        assert 2.7 not in actions and 2.0 not in actions and True not in actions
+        assert np.int64(2) in actions and 3 in actions and 1 not in actions
+
     def test_device_table_overhead(self):
         table = DeviceTableConsumption(rows=((1, 22), (5, 38)))
         # enough charge for the tx power but not the circuitry: failure

@@ -10,8 +10,9 @@ runs on both trees at seeds 1 and 3, `sweep` with `--threads 1`, and
 BLAS, OpenMP and MKL on one thread. Every file the commands write is
 compared, and so is what `validate` prints, with its exit code, since it
 writes no file; the `wall_time_s` column is ignored. The script prints
-each run's peak RSS and wall time on both trees, then each difference,
-and exits 1 if there is any, 0 if the outputs are identical.
+each run's peak RSS and wall time on both trees, then each difference (a
+CSV row, or a line of any other file), and exits 1 if there is any, 0 if
+the outputs are identical.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from itertools import zip_longest
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -95,8 +97,14 @@ def read_csv(path: Path) -> list:
     return [[row[i] for i in keep] for row in rows]
 
 
+def _shown(line) -> str:
+    """A line of a text output as a difference shows it; None if the file ended."""
+    return "missing" if line is None else repr(line)
+
+
 def differences(want: Path, got: Path) -> list:
-    """One line per file or cell that differs between two output trees."""
+    """One line per file, CSV row or line of other text that differs between
+    two output trees; text lines are counted from 1."""
     names = {p.relative_to(want) for p in want.rglob("*") if p.is_file()}
     names |= {p.relative_to(got) for p in got.rglob("*") if p.is_file()}
     found = []
@@ -111,8 +119,13 @@ def differences(want: Path, got: Path) -> list:
             for i, (row_a, row_b) in enumerate(zip(rows_a, rows_b)):
                 if row_a != row_b:
                     found.append(f"{name} row {i}: {row_a} -> {row_b}")
-        elif a.read_text(encoding="utf-8") != b.read_text(encoding="utf-8"):
-            found.append(f"{name}: differs")
+        else:
+            # with their line ends, so that a changed or missing end also shows
+            lines = zip_longest(a.read_text(encoding="utf-8").splitlines(keepends=True),
+                                b.read_text(encoding="utf-8").splitlines(keepends=True))
+            for i, (line_a, line_b) in enumerate(lines, 1):
+                if line_a != line_b:
+                    found.append(f"{name} line {i}: {_shown(line_a)} -> {_shown(line_b)}")
     return found
 
 
