@@ -29,7 +29,8 @@ from .errors import ConfigurationError, DomainError, NumericError
 
 _EDGE_EPS = 1e-15  # probabilities below this do not count as edges
 _MIN_LANE = 256  # frames per lane of simulate at least; shorter runs are one lane
-_MAX_FRAMES = 10 ** 8  # frames per simulate run at most; it peaks at 10-13 bytes a frame
+_MAX_FRAMES = 10 ** 8  # frames per simulate run at most; it peaks at 6-10 bytes a frame
+_SUM_PIECE = 1 << 16  # frames whose rewards simulate gathers at once
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +121,10 @@ def _stationary_laws(p: np.ndarray) -> np.ndarray:
     made here. An exactly singular chain gets a NaN law, and only that one.
     """
     k = p.shape[-1]
-    a = np.swapaxes(p, -1, -2) - np.eye(k)
+    # P^T - I, formed in one copy, with no identity matrix beside it
+    a = np.swapaxes(p, -1, -2).copy()
+    diagonal = np.arange(k)
+    a[..., diagonal, diagonal] -= 1.0
     a[..., -1, :] = 1.0
     rhs = np.zeros((k, 1))
     rhs[-1] = 1.0
@@ -294,32 +298,36 @@ def _level_tables(cons: ConsumptionMap, reward: RewardModel, policy: Policy, e_m
     return _spend_tables(np.arange(e_max + 1), consumption_vector(policy, cons, e_max), rates)
 
 
-def _gather_block(rows: np.ndarray, starts: np.ndarray, levels: np.ndarray) -> np.ndarray:
+def _gather_block(rows: np.ndarray, starts: np.ndarray, levels: np.ndarray,
+                  cols=None) -> np.ndarray:
     """The block on the sorted ``levels`` of the chain whose level e charges
     from ``starts[e]``, gathered at block size: entry (i, j) is
-    ``rows[starts[levels[i]], levels[j]]``."""
-    if levels[-1] - levels[0] < len(levels):
+    ``rows[starts[levels[i]], cols[j]]``, where ``cols``, sorted, defaults
+    to ``levels``."""
+    cols = levels if cols is None else cols
+    if cols[-1] - cols[0] < len(cols):
         # a run of consecutive levels is gathered by a slice, several times
         # faster than by a pair of index arrays
-        at = slice(levels[0], levels[-1] + 1)
-        return rows[starts[at], at]
-    return rows[np.ix_(starts[levels], levels)]
+        return rows[starts[levels], cols[0]:cols[-1] + 1]
+    return rows[np.ix_(starts[levels], cols)]
 
 
-def _gather_band(band: np.ndarray, starts: np.ndarray, levels: np.ndarray) -> np.ndarray:
+def _gather_band(band: np.ndarray, starts: np.ndarray, levels: np.ndarray,
+                 cols=None) -> np.ndarray:
     """``_gather_block`` on the dense rows that ``band`` stores, gathered from
-    the band: entry (i, j) is ``band[s, levels[j] - s]`` with s =
+    the band: entry (i, j) is ``band[s, cols[j] - s]`` with s =
     ``starts[levels[i]]``, and 0 where that offset lies outside the band. A
     boolean band gives the block's boolean support."""
+    cols = levels if cols is None else cols
     src = starts[levels]
-    # row i's entries lie on the levels lo[i]..hi[i]-1 of ``levels``
-    lo = np.searchsorted(levels, src)
-    hi = np.searchsorted(levels, src + band.shape[1] - 1, side="right")
+    # row i's entries lie on the levels lo[i]..hi[i]-1 of ``cols``
+    lo = np.searchsorted(cols, src)
+    hi = np.searchsorted(cols, src + band.shape[1] - 1, side="right")
     counts = hi - lo
     i = np.repeat(np.arange(len(levels)), counts)
     j = np.arange(counts.sum()) + np.repeat(lo - np.cumsum(counts) + counts, counts)
-    block = np.zeros((len(levels), len(levels)), dtype=band.dtype)
-    block[i, j] = band[src[i], levels[j] - src[i]]
+    block = np.zeros((len(levels), len(cols)), dtype=band.dtype)
+    block[i, j] = band[src[i], cols[j] - src[i]]
     return block
 
 
@@ -356,8 +364,7 @@ def exact_occupation(rows: np.ndarray, starts, e0: int) -> np.ndarray:
 
     This is the Cesaro limit of the state distribution started at e0, found
     by graph search and dense solves rather than by iterating the chain.
-    Only the block on the levels reachable from e0 is gathered and solved,
-    by ``_block_occupation``.
+    Only the levels reachable from e0 are searched, by ``_block_occupation``.
     """
     rows = _check_stochastic(rows)
     n = len(rows)
@@ -366,15 +373,24 @@ def exact_occupation(rows: np.ndarray, starts, e0: int) -> np.ndarray:
             or not np.all((0 <= starts) & (starts < n))):
         raise DomainError(f"starts must be {n} levels in [0, {n})")
     _check_start(e0, n)
-    levels = np.flatnonzero(_reach(np.take(rows > _EDGE_EPS, starts, axis=0), e0))
-    return _block_occupation(_gather_block(rows, starts, levels), levels, e0, n)
+    edges = rows > _EDGE_EPS
+    levels = np.flatnonzero(_reach(np.take(edges, starts, axis=0), e0))
+    return _block_occupation(_gather_block(edges, starts, levels),
+                             lambda at, to: _gather_block(rows, starts, at, to), levels, e0, n)
 
 
-def _block_occupation(p: np.ndarray, levels: np.ndarray, e0: int, n: int) -> np.ndarray:
+def _block_occupation(support: np.ndarray, gather, levels: np.ndarray, e0: int,
+                      n: int) -> np.ndarray:
     """Limiting occupation from ``e0``, over all n levels, of a chain whose
-    block on the sorted ``levels`` that e0 reaches is ``p``."""
+    boolean support on the sorted ``levels`` that e0 reaches is ``support``.
+
+    ``gather(at, to)`` returns the chain's transition probabilities from the
+    sorted levels ``at`` to the sorted levels ``to``. It is called only for
+    the blocks that are solved: each closed class, and the rows of the
+    transient levels when more than one class is reachable.
+    """
     e0 = int(np.searchsorted(levels, e0))
-    classes = _closed_classes(p > _EDGE_EPS)
+    classes = _closed_classes(support)
 
     if len(classes) == 1:
         # absorption is certain, so the lone reachable recurrent class gets
@@ -382,11 +398,11 @@ def _block_occupation(p: np.ndarray, levels: np.ndarray, e0: int, n: int) -> np.
         # so does a class holding e0, since every level reached lies in it
         weights = [(classes[0], 1.0)]
     else:
-        trans = np.setdiff1d(np.arange(len(p)), np.concatenate(classes))
-        q = p[np.ix_(trans, trans)]
-        lhs = np.eye(len(trans)) - q
+        trans = np.setdiff1d(np.arange(len(levels)), np.concatenate(classes))
+        p = gather(levels[trans], levels)
+        lhs = np.eye(len(trans)) - np.take(p, trans, axis=1)
         start = int(np.searchsorted(trans, e0))
-        weights = [(c, float(np.linalg.solve(lhs, p[np.ix_(trans, c)].sum(axis=1))[start]))
+        weights = [(c, float(np.linalg.solve(lhs, np.take(p, c, axis=1).sum(axis=1))[start]))
                    for c in classes]
         total = sum(max(w, 0.0) for _, w in weights)
         if not math.isfinite(total) or total <= 0.0:
@@ -396,7 +412,7 @@ def _block_occupation(p: np.ndarray, levels: np.ndarray, e0: int, n: int) -> np.
 
     pi = np.zeros(n)
     for c, w in weights:
-        pi[levels[c]] += w * _stationary_laws(p[np.ix_(c, c)])
+        pi[levels[c]] += w * _stationary_laws(gather(levels[c], levels[c]))
     if np.isnan(pi).any():
         raise NumericError("stationary solve failed: a closed class is exactly singular")
     pi = np.maximum(pi, 0.0)
@@ -408,14 +424,18 @@ def evaluate_policy(battery: BatteryModel, arrivals: ArrivalModel, cons: Consump
                     reward: RewardModel, policy: Policy, e0: int = 0) -> float:
     """Long-run average reward per frame of a policy's chain from ``e0``: the
     limiting occupation that ``exact_occupation`` finds, times the reward of
-    each level. The block reachable from e0 is gathered from the charge band
-    and solved by ``_block_occupation``; no n x n float array is formed."""
+    each level. ``_block_occupation`` searches the boolean support of the
+    levels reachable from e0 and gathers from the charge band only the
+    blocks it solves; no n x n float array is formed."""
     n = battery.e_max + 1
     _check_start(e0, n)
     band = charge_matrix(battery, arrivals)
     starts, state_reward = _level_tables(cons, reward, policy, battery.e_max)
-    levels = np.flatnonzero(_reach(_gather_band(band > _EDGE_EPS, starts, np.arange(n)), e0))
-    occupation = _block_occupation(_gather_band(band, starts, levels), levels, e0, n)
+    edges = band > _EDGE_EPS
+    levels = np.flatnonzero(_reach(_gather_band(edges, starts, np.arange(n)), e0))
+    occupation = _block_occupation(_gather_band(edges, starts, levels),
+                                   lambda at, to: _gather_band(band, starts, at, to),
+                                   levels, e0, n)
     return float(occupation @ state_reward)
 
 
@@ -466,17 +486,41 @@ def simulate(battery: BatteryModel, arrivals: ArrivalModel, cons: ConsumptionMap
     width = arrivals.b_max + 1
     step = (table[starts] * width).astype(np.min_scalar_type(table.size)).ravel()
 
-    # the draws, the lanes and their paths are freed before the rewards exist
+    # the draws, the lanes and their paths are freed before any reward is
+    # gathered, and the rewards are gathered a piece at a time, never whole
     states = _walk_lanes(step, sample_arrivals(arrivals, rng, frames), e0 * width)
     states //= width
-    rewards = jvec[states]
-    mean = float(rewards.mean())
+    mean = float(_pairwise_sum(jvec, states) / frames)
 
     n_batches = min(200, frames)
     batch = frames // n_batches
-    means = rewards[: n_batches * batch].reshape(n_batches, batch).mean(axis=1)
+    means = np.array([np.add.reduce(_gather(jvec, states[i * batch:(i + 1) * batch]))
+                      for i in range(n_batches)]) / batch
     se = float(means.std(ddof=1) / np.sqrt(n_batches)) if n_batches > 1 else float("nan")
     return SimulationReport(frames=frames, empirical_reward=mean, std_error=se)
+
+
+def _pairwise_sum(values: np.ndarray, index: np.ndarray) -> float:
+    """``values[index].sum()``, bit for bit, without forming ``values[index]``.
+
+    NumPy sums a contiguous float array pairwise: it splits n frames into
+    n2 = n // 2, rounded down to a multiple of 8, and n - n2, and adds the
+    two sums. The same split is made here until a piece holds at most
+    ``_SUM_PIECE`` frames, and each piece is gathered and summed by NumPy.
+    """
+    def total(lo, hi):
+        if hi - lo <= _SUM_PIECE:
+            return np.add.reduce(_gather(values, index[lo:hi]))
+        half = (hi - lo) // 2
+        half -= half % 8
+        return total(lo, lo + half) + total(lo + half, hi)
+    return total(0, len(index))
+
+
+def _gather(values: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """``values[index]``; an index of NumPy's own integer type is gathered
+    several times faster than a narrower one, even counting its cast."""
+    return values[index.astype(np.intp)]
 
 
 def _walk_lanes(step: np.ndarray, draws: np.ndarray, start: int) -> np.ndarray:

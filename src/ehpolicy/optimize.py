@@ -88,7 +88,7 @@ def solve_perfect_soc(battery: BatteryModel, arrivals: ArrivalModel, cons: Consu
     edges = band > _EDGE_EPS
     dcons, rates = _action_costs(cons, reward, actions)
     blocks = _action_blocks(dcons, rates, n)
-    buf = np.empty(max(start.size for _, start, _ in blocks))
+    buf = np.empty(max(start.size for _, start, _, _ in blocks))
     h = np.zeros(n)
     choice = np.empty(n, dtype=np.intp)
     for _ in range(_START_SWEEPS):
@@ -138,9 +138,13 @@ def _action_tables(battery: BatteryModel, cons: ConsumptionMap, reward: RewardMo
 
 
 def _action_blocks(dcons, rates, n):
-    """The (state, action) tables of states 0..n-1 as ``(levels, start, earned)``
-    blocks: ``levels`` is a slice of consecutive states, and ``start`` and
-    ``earned`` hold their rows of ``_action_tables`` for the actions [0, cols).
+    """The (state, action) tables of states 0..n-1 as ``(levels, start, paid,
+    rate)`` blocks: ``levels`` is a slice of consecutive states, ``start``
+    holds their rows of ``_action_tables``' start table for the actions
+    [0, cols), in the smallest unsigned type that holds a level, ``paid``
+    marks the entries whose state can pay for the action, and ``rate`` is
+    ``rates[:cols]``. An entry earns its rate where it is paid and nothing
+    elsewhere, so no float table is stored.
 
     The prefix holds every action that some state of the block can pay for,
     and the first action that none of them can. Every later action is
@@ -156,6 +160,7 @@ def _action_blocks(dcons, rates, n):
     last_paid = np.searchsorted(np.minimum.accumulate(dcons[::-1])[::-1], levels,
                                 side="right") - 1
     cols = np.minimum(np.maximum(first_unpaid, last_paid) + 1, len(dcons))
+    level_type = np.min_scalar_type(n - 1)
     blocks = []
     lo = 0
     while lo < n:
@@ -163,21 +168,23 @@ def _action_blocks(dcons, rates, n):
         size = np.arange(1, n - lo + 1) * cols[lo:]
         hi = lo + max(1, int(np.searchsorted(size, _STACK_ENTRIES, side="right")))
         width = cols[hi - 1]
-        start, earned = _spend_tables(levels[lo:hi, None], dcons[:width], rates[:width])
-        blocks.append((slice(lo, hi), start, earned))
+        left = levels[lo:hi, None] - dcons[:width]
+        paid = left >= 0
+        start = np.maximum(left, 0, out=left).astype(level_type)
+        blocks.append((slice(lo, hi), start, paid, rates[:width]))
         lo = hi
     return blocks
 
 
 def _block_values(blocks, v, buf, with_reward=True):
     """Yield each block's levels, start table and action values v[start], plus
-    the reward if ``with_reward``; the values are a view of ``buf``, valid
-    until the next block."""
-    for at, start, reward in blocks:
+    the rate where it is paid if ``with_reward``; the values are a view of
+    ``buf``, valid until the next block."""
+    for at, start, paid, rate in blocks:
         # mode "raise", the default, would buffer the output
         q = np.take(v, start, out=buf[:start.size].reshape(start.shape), mode="clip")
         if with_reward:
-            q += reward
+            np.add(q, rate, out=q, where=paid)
         yield at, start, q
 
 

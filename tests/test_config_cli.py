@@ -644,14 +644,16 @@ class TestCli:
                               text=True, check=True)
         assert done.stdout.strip() == "[]"
         # a preset run needs none of scipy, PyYAML or hashlib (whose _hashlib
-        # maps OpenSSL's libcrypto): with each blocked, so that importing it
-        # raises, it still runs and writes the same CSVs as an unblocked run
-        blocked = ("scipy", "yaml", "hashlib", "_hashlib")
+        # maps OpenSSL's libcrypto), and only simulate needs numpy.random: with
+        # each blocked, so that importing it raises, it still runs and writes
+        # the same CSVs as an unblocked run
+        blocked = ("scipy", "yaml", "hashlib", "_hashlib", "numpy.random")
         run = ("import sys\n"
                f"for name in {blocked!r}: sys.modules[name] = None\n"
                "from ehpolicy.cli import main\n"
                "sys.exit(main(sys.argv[1:]))")
-        for argv in (["search", "--preset", "fig3"], ["bound", "--preset", "baseline"]):
+        for argv in (["search", "--preset", "fig3"], ["bound", "--preset", "baseline"],
+                     ["solve", "--preset", "fig2"]):
             want, got = tmp_path / f"{argv[0]}_free", tmp_path / f"{argv[0]}_blocked"
             assert main([*argv, "--out", str(want)]) == 0
             done = subprocess.run([sys.executable, "-c", run, *argv, "--out", str(got)],
