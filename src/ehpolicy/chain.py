@@ -271,7 +271,7 @@ def charge_matrix(battery: BatteryModel, arrivals: ArrivalModel) -> np.ndarray:
     band = np.zeros((n, width))
     for b in range(width):
         np.add.at(band, (starts, offsets[:, b]), pmf[b])
-    return _check_stochastic(band, square=False)
+    return _check_stochastic(band)
 
 
 def _band_product(band: np.ndarray, v: np.ndarray, at=None) -> np.ndarray:
@@ -298,26 +298,13 @@ def _level_tables(cons: ConsumptionMap, reward: RewardModel, policy: Policy, e_m
     return _spend_tables(np.arange(e_max + 1), consumption_vector(policy, cons, e_max), rates)
 
 
-def _gather_block(rows: np.ndarray, starts: np.ndarray, levels: np.ndarray,
-                  cols=None) -> np.ndarray:
-    """The block on the sorted ``levels`` of the chain whose level e charges
-    from ``starts[e]``, gathered at block size: entry (i, j) is
-    ``rows[starts[levels[i]], cols[j]]``, where ``cols``, sorted, defaults
-    to ``levels``."""
-    cols = levels if cols is None else cols
-    if cols[-1] - cols[0] < len(cols):
-        # a run of consecutive levels is gathered by a slice, several times
-        # faster than by a pair of index arrays
-        return rows[starts[levels], cols[0]:cols[-1] + 1]
-    return rows[np.ix_(starts[levels], cols)]
-
-
 def _gather_band(band: np.ndarray, starts: np.ndarray, levels: np.ndarray,
                  cols=None) -> np.ndarray:
-    """``_gather_block`` on the dense rows that ``band`` stores, gathered from
-    the band: entry (i, j) is ``band[s, cols[j] - s]`` with s =
-    ``starts[levels[i]]``, and 0 where that offset lies outside the band. A
-    boolean band gives the block's boolean support."""
+    """The block on the sorted ``levels`` of the chain whose level e charges
+    from ``starts[e]``, gathered from ``band`` at block size: entry (i, j) is
+    ``band[s, cols[j] - s]`` with s = ``starts[levels[i]]``, and 0 where that
+    offset lies outside the band; ``cols``, sorted, defaults to ``levels``.
+    A boolean band gives the block's boolean support."""
     cols = levels if cols is None else cols
     src = starts[levels]
     # row i's entries lie on the levels lo[i]..hi[i]-1 of ``cols``
@@ -335,12 +322,12 @@ def _gather_band(band: np.ndarray, starts: np.ndarray, levels: np.ndarray,
 # Long-run average reward
 # ---------------------------------------------------------------------------
 
-def _check_stochastic(rows: np.ndarray, square: bool = True) -> np.ndarray:
-    """``rows`` as a float array, refused unless each row is a law: finite,
-    nonnegative and summing to 1; ``square`` also requires a square matrix."""
+def _check_stochastic(rows: np.ndarray) -> np.ndarray:
+    """``rows`` as a 2-D float array, refused unless each row is a law:
+    finite, nonnegative and summing to 1."""
     p = np.asarray(rows, dtype=float)
-    if square and (p.ndim != 2 or p.shape[0] != p.shape[1]):
-        raise NumericError("transition matrix must be square")
+    if p.ndim != 2:
+        raise NumericError("transition rows must form a 2-D array")
     # NaN fails every comparison below, so it is refused on its own
     if not np.isfinite(p).all():
         raise NumericError("transition matrix has a non-finite entry")
@@ -355,42 +342,35 @@ def _check_start(e0, n: int) -> None:
         raise DomainError(f"initial state must be an integer in [0, {n}), got {e0!r}")
 
 
-def exact_occupation(rows: np.ndarray, starts, e0: int) -> np.ndarray:
+def exact_occupation(band: np.ndarray, starts, e0: int) -> np.ndarray:
     """Algebraic limiting occupation from ``e0`` of the chain whose level e
-    charges from ``starts[e]``, so that its transition row at e is
-    ``rows[starts[e]]``: absorption weights into each recurrent class
-    reachable from e0, times the class stationary laws. A dense transition
-    matrix is the case ``starts = np.arange(n)``.
+    charges from ``starts[e]`` on the charge band ``band`` (as
+    ``charge_matrix`` stores it), so that its transition row at e is
+    ``band[starts[e]]``: absorption weights into each recurrent class
+    reachable from e0, times the class stationary laws.
 
     This is the Cesaro limit of the state distribution started at e0, found
-    by graph search and dense solves rather than by iterating the chain.
-    Only the levels reachable from e0 are searched, by ``_block_occupation``.
+    by graph search and dense solves rather than by iterating the chain. The
+    closed classes are found on the boolean support of the levels that e0
+    reaches. Only the blocks that are solved are gathered from the band as
+    floats: each closed class, and the rows of the transient levels when
+    more than one class is reachable; no n x n float array is formed.
     """
-    rows = _check_stochastic(rows)
-    n = len(rows)
+    band = _check_stochastic(band)
+    n, width = band.shape
+    # row s holds levels s..s+width-1, and none may lie above the top level;
+    # a dense n x n matrix passed by mistake has mass there
+    if (band[np.arange(width) >= n - np.arange(n)[:, None]] > 0).any():
+        raise NumericError("charge band has mass above the top level")
     starts = np.asarray(starts)
     if (starts.shape != (n,) or not np.issubdtype(starts.dtype, np.integer)
             or not np.all((0 <= starts) & (starts < n))):
         raise DomainError(f"starts must be {n} levels in [0, {n})")
     _check_start(e0, n)
-    edges = rows > _EDGE_EPS
-    levels = np.flatnonzero(_reach(np.take(edges, starts, axis=0), e0))
-    return _block_occupation(_gather_block(edges, starts, levels),
-                             lambda at, to: _gather_block(rows, starts, at, to), levels, e0, n)
-
-
-def _block_occupation(support: np.ndarray, gather, levels: np.ndarray, e0: int,
-                      n: int) -> np.ndarray:
-    """Limiting occupation from ``e0``, over all n levels, of a chain whose
-    boolean support on the sorted ``levels`` that e0 reaches is ``support``.
-
-    ``gather(at, to)`` returns the chain's transition probabilities from the
-    sorted levels ``at`` to the sorted levels ``to``. It is called only for
-    the blocks that are solved: each closed class, and the rows of the
-    transient levels when more than one class is reachable.
-    """
+    edges = band > _EDGE_EPS
+    levels = np.flatnonzero(_reach(_gather_band(edges, starts, np.arange(n)), e0))
+    classes = _closed_classes(_gather_band(edges, starts, levels))
     e0 = int(np.searchsorted(levels, e0))
-    classes = _closed_classes(support)
 
     if len(classes) == 1:
         # absorption is certain, so the lone reachable recurrent class gets
@@ -399,7 +379,7 @@ def _block_occupation(support: np.ndarray, gather, levels: np.ndarray, e0: int,
         weights = [(classes[0], 1.0)]
     else:
         trans = np.setdiff1d(np.arange(len(levels)), np.concatenate(classes))
-        p = gather(levels[trans], levels)
+        p = _gather_band(band, starts, levels[trans], levels)
         lhs = np.eye(len(trans)) - np.take(p, trans, axis=1)
         start = int(np.searchsorted(trans, e0))
         weights = [(c, float(np.linalg.solve(lhs, np.take(p, c, axis=1).sum(axis=1))[start]))
@@ -412,7 +392,7 @@ def _block_occupation(support: np.ndarray, gather, levels: np.ndarray, e0: int,
 
     pi = np.zeros(n)
     for c, w in weights:
-        pi[levels[c]] += w * _stationary_laws(gather(levels[c], levels[c]))
+        pi[levels[c]] += w * _stationary_laws(_gather_band(band, starts, levels[c]))
     if np.isnan(pi).any():
         raise NumericError("stationary solve failed: a closed class is exactly singular")
     pi = np.maximum(pi, 0.0)
@@ -423,20 +403,10 @@ def _block_occupation(support: np.ndarray, gather, levels: np.ndarray, e0: int,
 def evaluate_policy(battery: BatteryModel, arrivals: ArrivalModel, cons: ConsumptionMap,
                     reward: RewardModel, policy: Policy, e0: int = 0) -> float:
     """Long-run average reward per frame of a policy's chain from ``e0``: the
-    limiting occupation that ``exact_occupation`` finds, times the reward of
-    each level. ``_block_occupation`` searches the boolean support of the
-    levels reachable from e0 and gathers from the charge band only the
-    blocks it solves; no n x n float array is formed."""
-    n = battery.e_max + 1
-    _check_start(e0, n)
-    band = charge_matrix(battery, arrivals)
+    limiting occupation that ``exact_occupation`` finds on the charge band,
+    times the reward of each level."""
     starts, state_reward = _level_tables(cons, reward, policy, battery.e_max)
-    edges = band > _EDGE_EPS
-    levels = np.flatnonzero(_reach(_gather_band(edges, starts, np.arange(n)), e0))
-    occupation = _block_occupation(_gather_band(edges, starts, levels),
-                                   lambda at, to: _gather_band(band, starts, at, to),
-                                   levels, e0, n)
-    return float(occupation @ state_reward)
+    return float(exact_occupation(charge_matrix(battery, arrivals), starts, e0) @ state_reward)
 
 
 # ---------------------------------------------------------------------------

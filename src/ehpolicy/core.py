@@ -24,8 +24,9 @@ from .errors import DomainError
 # so exact integer levels (e.g. lossless charging) are not floored down a quantum.
 _FLOOR_EPS = 1e-9
 # Buckets of the arrival sampler's inverse CDF. A uniform draw is a multiple
-# of 2^-53, so scaling it by this power of two and flooring is exact; the
-# bucket index is int16, so at most 1 << 15.
+# of 2^-53, so scaling it by this power of two and flooring is exact. More
+# buckets leave fewer draws in a bucket with a knot, which must be searched,
+# at the cost of two lookup tables of this length.
 _BUCKETS = 1 << 12
 _CHUNK = 1 << 16  # frames per chunk of the per-frame temporaries
 
@@ -98,7 +99,8 @@ def efficiency_at(profile: EfficiencyProfile, e, e_max: int):
     Accepts scalars or arrays; raises DomainError outside [0, e_max].
     """
     arr = np.asarray(e, dtype=float)
-    if np.any(arr < 0.0) or np.any(arr > e_max):
+    # NaN fails both comparisons, so it is refused with the levels outside
+    if not np.all((0.0 <= arr) & (arr <= e_max)):
         raise DomainError(f"charge level outside [0, {e_max}]")
     out = _efficiency_unchecked(profile, arr, e_max)
     return float(out) if np.isscalar(e) or arr.ndim == 0 else out
@@ -194,8 +196,8 @@ def integrate_frame(battery: BatteryModel, e_start: float, b: int, *, saturate: 
     """
     if not 0.0 <= e_start <= battery.e_max:
         raise DomainError(f"e_start {e_start} outside [0, {battery.e_max}]")
-    if b < 0:
-        raise DomainError(f"arrivals must be nonnegative, got {b}")
+    if not _is_int(b) or b < 0:
+        raise DomainError(f"arrivals must be a nonnegative integer, got {b!r}")
     return float(_charge_flow(battery, e_start, b, saturate))
 
 
@@ -206,12 +208,12 @@ def _floor_level(y):
 
 def battery_step(battery: BatteryModel, e: int, d: int, b: int) -> int:
     """Battery state after one frame: drain ``d`` (clipped at empty), charge ``b``, quantize."""
-    if not 0 <= e <= battery.e_max:
-        raise DomainError(f"state {e} outside battery range")
-    if d < 0:
-        raise DomainError("consumption must be nonnegative")
-    if b < 0:
-        raise DomainError("arrivals must be nonnegative")
+    if not _is_int(e) or not 0 <= e <= battery.e_max:
+        raise DomainError(f"state must be an integer in [0, {battery.e_max}], got {e!r}")
+    if not _is_int(d) or d < 0:
+        raise DomainError(f"consumption must be a nonnegative integer, got {d!r}")
+    if not _is_int(b) or b < 0:
+        raise DomainError(f"arrivals must be a nonnegative integer, got {b!r}")
     y = integrate_frame(battery, max(0, e - d), b)
     return int(min(_floor_level(y), battery.e_max))
 
@@ -339,7 +341,8 @@ def sample_arrivals(model: ArrivalModel, rng: np.random.Generator, size: int) ->
     for lo in range(0, size, _CHUNK):
         u = rng.random(min(_CHUNK, size - lo))
         u *= _BUCKETS
-        bucket = u.astype(np.int16)
+        # NumPy's own index type gathers faster than a narrower one
+        bucket = u.astype(np.intp)
         out = draws[lo:lo + len(u)]
         out[:] = below[bucket]
         hit = np.flatnonzero(knotted[bucket])

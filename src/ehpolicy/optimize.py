@@ -393,8 +393,9 @@ def _candidate_gains(battery: BatteryModel, arrivals: ArrivalModel, cons: Consum
     n_subsets = partition.n_subsets
     n = battery.e_max + 1
     states = np.arange(n)
-    # the dense charge rows, since E's elimination reads whole rows
-    rows = _gather_band(charge_matrix(battery, arrivals), states, states)
+    # the dense charge rows beside the band, since E's elimination reads whole rows
+    band = charge_matrix(battery, arrivals)
+    rows = _gather_band(band, states, states)
     start_by_action, j_by_action = _action_tables(battery, cons, reward, actions)
     labels = partition.labels()
     n_acts = len(actions)
@@ -415,7 +416,7 @@ def _candidate_gains(battery: BatteryModel, arrivals: ArrivalModel, cons: Consum
         prefixes, choices, folds = zip(*queued)
         queued.clear()
         folds = np.stack(folds)  # frees the per-prefix folds
-        scored = _score_group(rows, start_by_action, j_by_action, folds, choices, e0, best)
+        scored = _score_group(band, start_by_action, j_by_action, folds, choices, e0, best)
         for prefix, row in zip(prefixes, scored):
             keep(prefix, row)
 
@@ -443,7 +444,7 @@ def _candidate_gains(battery: BatteryModel, arrivals: ArrivalModel, cons: Consum
                 if _loses(upper, best):
                     gains[prefix] = -np.inf
                     return
-            keep(prefix, _class_gain(rows, start_by_action, j_by_action, choice_e, 0, e0))
+            keep(prefix, _class_gain(band, start_by_action, j_by_action, choice_e, 0, e0))
         elif depth < n_subsets - 1:
             for a in range(n_acts):
                 fill(prefix + (a,))
@@ -461,7 +462,7 @@ def _candidate_gains(battery: BatteryModel, arrivals: ArrivalModel, cons: Consum
                     return
             if not reach.all():
                 # E holds a closed class, so I - P_EE is singular
-                keep(prefix, [_class_gain(rows, start_by_action, j_by_action, choice_e, a, e0)
+                keep(prefix, [_class_gain(band, start_by_action, j_by_action, choice_e, a, e0)
                               for a in range(n_acts)])
                 return
             # eliminate E: (I - P_EE)[Y | u | t] = [P_EK | r_E | 1], folded into every
@@ -483,17 +484,18 @@ def _candidate_gains(battery: BatteryModel, arrivals: ArrivalModel, cons: Consum
     return gains
 
 
-def _class_gain(rows, start_by_action, j_by_action, choice_e, a, e0) -> float:
-    """Gain from e0, by the class route, when each level e below len(choice_e)
-    takes action ``choice_e[e]`` and every level above takes action ``a``."""
-    levels = np.arange(len(rows))
-    choice = np.concatenate([choice_e, np.full(len(rows) - len(choice_e), a, dtype=np.int64)])
+def _class_gain(band, start_by_action, j_by_action, choice_e, a, e0) -> float:
+    """Gain from e0, by the class route on the charge band ``band``, when each
+    level e below len(choice_e) takes action ``choice_e[e]`` and every level
+    above takes action ``a``."""
+    levels = np.arange(len(band))
+    choice = np.concatenate([choice_e, np.full(len(band) - len(choice_e), a, dtype=np.int64)])
     # looked up at call time, so a rebinding of chain.exact_occupation is seen
-    occupation = chain.exact_occupation(rows, start_by_action[levels, choice], e0)
+    occupation = chain.exact_occupation(band, start_by_action[levels, choice], e0)
     return float(occupation @ j_by_action[levels, choice])
 
 
-def _score_group(rows, start_by_action, j_by_action, folds, choices, e0, best) -> np.ndarray:
+def _score_group(band, start_by_action, j_by_action, folds, choices, e0, best) -> np.ndarray:
     """Gain from e0 of every last action of a group of prefixes, (G, |A|).
 
     Prefix g takes actions ``choices[g]`` on E, and ``folds[g]`` is its fold.
@@ -547,7 +549,7 @@ def _score_group(rows, start_by_action, j_by_action, folds, choices, e0, best) -
     c, pi = live[good], np.maximum(pi[good], 0.0)
     gains[c] = np.einsum("ck,ck->c", pi, earned[c]) / np.einsum("ck,ck->c", pi, frames[c])
     for i in live[~good]:
-        gains[i] = _class_gain(rows, start_by_action, j_by_action, choices[i // n_acts],
+        gains[i] = _class_gain(band, start_by_action, j_by_action, choices[i // n_acts],
                                i % n_acts, e0)
     return gains.reshape(n_groups, n_acts)
 

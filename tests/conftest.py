@@ -39,7 +39,7 @@ from ehpolicy.chain import (
     consumption_vector,
 )
 from ehpolicy.core import _efficiency_unchecked, next_state_table
-from ehpolicy.errors import ConvergenceError, DomainError
+from ehpolicy.errors import ConvergenceError, DomainError, NumericError
 
 
 def to_yaml(cfg) -> str:
@@ -58,6 +58,15 @@ def dense_charge_rows(battery, arrivals):
     for b in range(arrivals.b_max + 1):
         np.add.at(rows, (levels, table[:, b]), pmf[b])
     return rows
+
+
+def square_stochastic(transition):
+    """``transition`` as a float matrix, refused unless it is square and each
+    row is a law; the library's check takes the rows of a band too."""
+    p = _check_stochastic(transition)
+    if p.shape[0] != p.shape[1]:
+        raise NumericError("transition matrix must be square")
+    return p
 
 
 def build_chain(battery, arrivals, cons, reward, policy):
@@ -93,7 +102,7 @@ def gth_gain(transition, state_reward, e0):
     halves keeps its digits. Raises unless ``e0`` reaches exactly one
     closed class.
     """
-    p = _check_stochastic(transition)
+    p = square_stochastic(transition)
     n = len(p)
     if not 0 <= e0 < n:
         raise DomainError(f"initial state {e0} out of range")
@@ -150,7 +159,7 @@ def long_run_average(transition, state_reward, e0, max_squarings=128):
     the Cesaro limit. A leak too slow to move the row that much in one
     squaring goes unseen, as with any stop on the step. Returns (g, pi).
     """
-    p = _check_stochastic(transition)
+    p = square_stochastic(transition)
     r = np.asarray(state_reward, dtype=float)
     n = p.shape[0]
     if not 0 <= e0 < n:

@@ -3,7 +3,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from conftest import attained_reward, build_chain, dense_charge_rows, walk_reference
+from conftest import attained_reward, build_chain, dense_charge_rows, gth_gain, walk_reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
@@ -35,7 +35,6 @@ from ehpolicy.chain import (
     _band_product,
     _closed_classes,
     _gather_band,
-    _gather_block,
     _level_tables,
     _pairwise_sum,
     _reach,
@@ -322,14 +321,13 @@ class TestChargeBand:
         starts = np.minimum(np.arange(n), rng.integers(0, n, size=n))
         cases = (np.arange(n), np.arange(n // 3, n), np.unique(rng.integers(0, n, 9)))
         for levels in cases:
-            assert np.array_equal(_gather_band(band, starts, levels),
-                                  _gather_block(rows, starts, levels))
+            want = rows[np.ix_(starts[levels], levels)]
+            assert np.array_equal(_gather_band(band, starts, levels), want)
             assert np.array_equal(_gather_band(band > _EDGE_EPS, starts, levels),
-                                  _gather_block(rows, starts, levels) > _EDGE_EPS)
+                                  want > _EDGE_EPS)
             # rows on these levels and columns on every case's levels
             for cols in cases:
                 want = rows[np.ix_(starts[levels], cols)]
-                assert np.array_equal(_gather_block(rows, starts, levels, cols), want)
                 assert np.array_equal(_gather_band(band, starts, levels, cols), want)
 
     def test_refuses_a_non_finite_band(self):
@@ -456,25 +454,31 @@ class TestLongRunAverage:
     def test_rejects_nonstochastic(self, power_iteration):
         with pytest.raises(NumericError):
             power_iteration(np.full((3, 3), 0.5), np.zeros(3), 0)
+        # stochastic rows that are not a square matrix
+        with pytest.raises(NumericError, match="square"):
+            power_iteration(np.full((2, 4), 0.25), np.zeros(4), 0)
 
     def test_agrees_with_exact_occupation(self, power_iteration):
         rng = np.random.default_rng(5)
+        band = charge_matrix(BASELINE, GEOM20)
         for _ in range(5):
             policy = StatePolicy(actions=tuple(rng.integers(0, 40, size=101)))
             transition, reward = build_chain(BASELINE, GEOM20, CONS, REWARD, policy)
             g_iter, pi_iter = power_iteration(transition, reward, 0)
-            pi_exact = exact_occupation(transition, np.arange(101), 0)
+            starts, _ = _level_tables(CONS, REWARD, policy, 100)
+            pi_exact = exact_occupation(band, starts, 0)
             assert pi_iter == pytest.approx(pi_exact, abs=1e-7)
             assert g_iter == pytest.approx(float(pi_exact @ reward), abs=1e-8)
 
     def test_exact_occupation_reducible_absorption(self):
-        # two absorbing states; from state 0 absorption splits 50/50
-        transition = np.array([
+        # two absorbing states; from state 0 absorption splits 50/50: the band
+        # moves level 0 up by 1 or 2, and keeps levels 1 and 2 where they are
+        band = np.array([
             [0.0, 0.5, 0.5],
-            [0.0, 1.0, 0.0],
-            [0.0, 0.0, 1.0],
+            [1.0, 0.0, 0.0],
+            [1.0, 0.0, 0.0],
         ])
-        pi = exact_occupation(transition, np.arange(3), 0)
+        pi = exact_occupation(band, np.arange(3), 0)
         assert pi == pytest.approx(np.array([0.0, 0.5, 0.5]))
 
     def test_exactly_singular_class_law_raises(self, monkeypatch):
@@ -483,11 +487,11 @@ class TestLongRunAverage:
         monkeypatch.setattr("ehpolicy.chain._stationary_laws",
                             lambda p: np.full(len(p), np.nan))
         with pytest.raises(NumericError, match="exactly singular"):
-            exact_occupation(np.eye(3), np.arange(3), 0)
+            exact_occupation(np.ones((3, 1)), np.arange(3), 0)
 
     def test_refuses_a_non_finite_transition(self):
         # NaN fails both the sign test and the row-sum test; it used to give [1, 0]
-        for bad in (np.full((2, 2), np.nan), np.array([[np.inf, 0.0], [0.0, 1.0]])):
+        for bad in (np.full((2, 2), np.nan), np.array([[np.inf, 0.0], [1.0, 0.0]])):
             with pytest.raises(NumericError, match="non-finite"):
                 exact_occupation(bad, np.arange(2), 0)
 
@@ -495,22 +499,32 @@ class TestLongRunAverage:
     def test_rejects_start_outside_battery(self, e0):
         # a start that is not an integer (a bool is not one) used to fail deep in NumPy
         policy = StatePolicy(actions=(0,) * 101)
-        transition, _ = build_chain(BASELINE, GEOM20, CONS, REWARD, policy)
+        band = charge_matrix(BASELINE, GEOM20)
         with pytest.raises(DomainError):
-            exact_occupation(transition, np.arange(101), e0)
+            exact_occupation(band, np.arange(101), e0)
         with pytest.raises(DomainError):
             evaluate_policy(BASELINE, GEOM20, CONS, REWARD, policy, e0)
         # starts of the wrong length, outside the levels or not levels at all
         for starts in (np.arange(100), np.arange(102), np.full(101, e0), np.zeros(101) + 0.5):
             with pytest.raises(DomainError):
-                exact_occupation(transition, starts, 0)
-        with pytest.raises(NumericError):
-            exact_occupation(transition[:, :100], np.arange(101), 0)
+                exact_occupation(band, starts, 0)
+        # rows that lose the mass of staying put are not laws
+        with pytest.raises(NumericError, match="not row-stochastic"):
+            exact_occupation(band[:, 1:], np.arange(101), 0)
+
+    def test_refuses_a_dense_transition(self):
+        # a dense n x n matrix reads as a band whose row s reaches s + n - 1:
+        # the zero policy's top row keeps the battery at the top, beyond which
+        # that band has no level
+        policy = StatePolicy(actions=(0,) * 101)
+        transition, _ = build_chain(BASELINE, GEOM20, CONS, REWARD, policy)
+        with pytest.raises(NumericError, match="above the top level"):
+            exact_occupation(transition, np.arange(101), 0)
 
     def test_evaluation_equals_the_whole_chain(self):
         # evaluate_policy solves only the block reachable from e0: 7 to 101
         # levels here; the partition policy empties the battery in LOW and
-        # keeps it full in HIGH
+        # keeps it full in HIGH. GTH eliminates on the whole dense chain
         rng = np.random.default_rng(12)
         policies = [StatePolicy(actions=tuple(rng.integers(0, 101, size=101)))
                     for _ in range(6)]
@@ -518,9 +532,9 @@ class TestLongRunAverage:
         for policy in policies:
             transition, reward = build_chain(BASELINE, GEOM20, CONS, REWARD, policy)
             for e0 in (0, 37, 100):
-                pi = exact_occupation(transition, np.arange(101), e0)
                 gain = evaluate_policy(BASELINE, GEOM20, CONS, REWARD, policy, e0)
-                assert gain == float(pi @ reward)
+                want = gth_gain(transition, reward, e0)
+                assert gain == pytest.approx(want, rel=1e-12, abs=1e-15)
 
     def test_peak_memory_of_a_large_evaluation(self, large_policy):
         # no n x n float array is formed, only the boolean support and the
@@ -536,7 +550,8 @@ class TestLongRunAverage:
         rng = np.random.default_rng(seed)
         policy = StatePolicy(actions=tuple(rng.integers(0, 101, size=101)))
         transition, _ = build_chain(BASELINE, GEOM20, CONS, REWARD, policy)
-        pi = exact_occupation(transition, np.arange(101), 0)
+        starts, _ = _level_tables(CONS, REWARD, policy, 100)
+        pi = exact_occupation(charge_matrix(BASELINE, GEOM20), starts, 0)
         assert pi @ transition == pytest.approx(pi, abs=1e-9)
         assert pi.sum() == pytest.approx(1.0)
         assert np.all(pi >= 0)

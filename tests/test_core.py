@@ -75,6 +75,12 @@ class TestEfficiency:
         with pytest.raises(DomainError):
             efficiency_at(QuadraticCapacitor(1.05), 101.0, 100)
 
+    @pytest.mark.parametrize("e", [math.nan, math.inf, -math.inf, [50.0, math.nan]])
+    def test_refuses_a_non_finite_level(self, e):
+        # NaN used to pass the range check and come back as the efficiency
+        with pytest.raises(DomainError):
+            efficiency_at(QuadraticCapacitor(1.05), e, 100)
+
     def test_beta_must_exceed_one(self):
         with pytest.raises(DomainError):
             QuadraticCapacitor(1.0)
@@ -122,6 +128,12 @@ class TestIntegrateFrame:
         assert integrate_frame(bat, 90.0, 50) == 100.0
         assert integrate_frame(bat, 100.0, 7, saturate=False) == pytest.approx(107.0)
 
+    @pytest.mark.parametrize("b", [math.nan, 2.5, True, -1, None])
+    def test_refuses_arrivals_that_are_not_whole_quanta(self, b):
+        # NaN used to come back as the level, and 2.5 to be integrated as is
+        with pytest.raises(DomainError):
+            integrate_frame(BASELINE, 5.0, b)
+
     @settings(max_examples=30, deadline=None)
     @given(e=st.floats(0, 100), b=st.integers(0, 50))
     def test_output_bounds(self, e, b):
@@ -153,6 +165,18 @@ class TestBatteryStep:
                 for b in (0, 10, 50):
                     assert battery_step(BASELINE, e, d, b) == \
                         battery_step(BASELINE, max(0, e - d), 0, b)
+
+    @pytest.mark.parametrize("e, d, b", [
+        (5, 0, math.nan), (5, math.nan, 2), (math.nan, 0, 2), (5, 0.5, 2), (5, 0, 2.5),
+        (5.0, 0, 2), (5, 0, True), (True, 0, 2), (5, -1, 2), (5, 0, -1), (101, 0, 2)])
+    def test_refuses_levels_that_are_not_whole_quanta(self, e, d, b):
+        # NaN arrivals used to give -2^63, NaN consumption 0, and fractional
+        # quanta a level; a bool is not a count of quanta
+        with pytest.raises(DomainError):
+            battery_step(BASELINE, e, d, b)
+
+    def test_accepts_numpy_integers(self):
+        assert battery_step(BASELINE, np.int64(0), np.int16(0), np.uint8(50)) == 6
 
     @settings(max_examples=30, deadline=None)
     @given(e=st.integers(0, 100), d=st.integers(0, 120), b=st.integers(0, 50))

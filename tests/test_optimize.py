@@ -369,9 +369,10 @@ class TestSolvePerfectSoc:
         acts = ActionSet((0, 4))
         policy = solve_perfect_soc(bat, arr, CONS, REWARD, acts)
         assert policy.actions == (0, 0, 0, 0, 4, 4)
-        transition, _ = build_chain(bat, arr, CONS, REWARD, policy)
-        assert np.flatnonzero(exact_occupation(transition, np.arange(6), 0)).tolist() == [0, 2, 4]
-        assert np.flatnonzero(exact_occupation(transition, np.arange(6), 1)).tolist() == [1, 3, 5]
+        band = charge_matrix(bat, arr)
+        starts, _ = _level_tables(CONS, REWARD, policy, 5)
+        assert np.flatnonzero(exact_occupation(band, starts, 0)).tolist() == [0, 2, 4]
+        assert np.flatnonzero(exact_occupation(band, starts, 1)).tolist() == [1, 3, 5]
         want = brute_force_best_state_policy(bat, arr, CONS, REWARD, acts)
         got = evaluate_policy(bat, arr, CONS, REWARD, policy)
         assert got == pytest.approx(want, abs=1e-12)
@@ -575,7 +576,7 @@ class TestPolicyValues:
         battery = BatteryModel(e_max=e_max,
                                efficiency=QuadraticCapacitor(float(rng.uniform(1.05, 3.0))))
         arrivals = make_truncated_geometric(rng.uniform(0.2, 0.8) * b_max, b_max)
-        band, rows = charge_matrix(battery, arrivals), dense_charge_rows(battery, arrivals)
+        band = charge_matrix(battery, arrivals)
         partition = Partition.uniform(e_max, int(rng.integers(1, 5)))
         policies = [
             StatePolicy(actions=tuple(rng.integers(0, b_max + 1, size=e_max + 1))),
@@ -587,7 +588,7 @@ class TestPolicyValues:
             starts, reward = _level_tables(CONS, REWARD, policy, e_max)
             gain = _policy_values(band, band > _EDGE_EPS, starts, reward)[0]
             for e0 in range(e_max + 1):
-                want = exact_occupation(rows, starts, e0) @ reward
+                want = exact_occupation(band, starts, e0) @ reward
                 assert gain[e0] == pytest.approx(want, rel=1e-12, abs=0 if want else 1e-12)
 
     def test_transient_level_draining_into_two_classes(self):
@@ -670,8 +671,8 @@ class TestSearchPartitionPolicy:
         score_group = optimize._score_group
         placed = []
 
-        def with_nan(rows, start_by_action, j_by_action, folds, choices, e0, best):
-            gains = score_group(rows, start_by_action, j_by_action, folds, choices, e0, best)
+        def with_nan(band, start_by_action, j_by_action, folds, choices, e0, best):
+            gains = score_group(band, start_by_action, j_by_action, folds, choices, e0, best)
             for row, choice_e in zip(gains, choices):
                 if acts.actions[choice_e[0]] == winner[0]:
                     row[acts.actions.index(winner[1])] = np.nan
@@ -752,15 +753,44 @@ class TestSearchPartitionPolicy:
         calls = []
         occupation = exact_occupation
 
-        def counted(rows, starts, e0):
+        def counted(band, starts, e0):
             calls.append(e0)
-            return occupation(rows, starts, e0)
+            return occupation(band, starts, e0)
 
         monkeypatch.setattr("ehpolicy.chain.exact_occupation", counted)
         result = search_partition_policy(*args)
         assert len(calls) <= 26
         assert result.evaluated_count == 26 ** 3
         assert result.best_policy.actions == (0, 16, 32)
+
+    def test_class_route_is_evaluate_policy(self):
+        # the class route and evaluate_policy are one evaluator on the charge
+        # band: the same gain, bit for bit, for every trapped prefix of fig3's
+        # coarse stage, each level above E taking the first action, and for
+        # random actions per level on a small battery from every start level
+        args = (*fig3_coarse_stage(), 0)
+        battery, arrivals, cons, reward, actions = args[:5]
+        trapped = bound_calls(args, "trap")
+        assert trapped
+        for _, _, caller in trapped:
+            choice = np.zeros(battery.e_max + 1, dtype=np.int64)
+            choice[:len(caller["choice_e"])] = caller["choice_e"]
+            policy = StatePolicy(actions=tuple(actions.as_array()[choice]))
+            gain = optimize._class_gain(caller["band"], caller["start_by_action"],
+                                        caller["j_by_action"], caller["choice_e"], 0, 0)
+            assert gain == evaluate_policy(battery, arrivals, cons, reward, policy, 0)
+        rng = np.random.default_rng(3)
+        battery = BatteryModel(e_max=30, efficiency=QuadraticCapacitor(1.5))
+        arrivals = make_truncated_geometric(3.0, 8)
+        actions = ActionSet(tuple(range(0, 13, 2)))
+        band = charge_matrix(battery, arrivals)
+        start_by_action, j_by_action = optimize._action_tables(battery, CONS, REWARD, actions)
+        for _ in range(20):
+            choice = rng.integers(0, len(actions), size=31)
+            policy = StatePolicy(actions=tuple(actions.as_array()[choice]))
+            for e0 in range(31):
+                gain = optimize._class_gain(band, start_by_action, j_by_action, choice, 0, e0)
+                assert gain == evaluate_policy(battery, arrivals, CONS, REWARD, policy, e0)
 
     @pytest.mark.parametrize("case", [*range(len(SEARCH_EXAMPLES)), "fig3"])
     def test_group_and_chunk_bounds_do_not_change_gains(self, monkeypatch, case):
@@ -777,9 +807,9 @@ class TestSearchPartitionPolicy:
         score_group = optimize._score_group
         sizes = []
 
-        def recorded(rows, start_by_action, j_by_action, folds, choices, e0, best):
+        def recorded(band, start_by_action, j_by_action, folds, choices, e0, best):
             sizes.append(len(folds))
-            return score_group(rows, start_by_action, j_by_action, folds, choices, e0, best)
+            return score_group(band, start_by_action, j_by_action, folds, choices, e0, best)
 
         monkeypatch.setattr(optimize, "_score_group", recorded)
         for group, chunk in ((0, 1), (1 << 17, 1 << 13), (1 << 62, 1 << 62)):
@@ -813,7 +843,7 @@ class TestSearchPartitionPolicy:
         monkeypatch.setattr(optimize, "_score_group",
                             lambda *args: groups.append(args) or score_group(*args))
         _candidate_gains(battery, arrivals, CONS, REWARD, actions, part, e0)
-        rows, start_by_action, j_by_action, folds, choices, e0, _ = groups[0]
+        band, start_by_action, j_by_action, folds, choices, e0, _ = groups[0]
         occupations = []
 
         def counted(*args):
@@ -839,7 +869,7 @@ class TestSearchPartitionPolicy:
         monkeypatch.setattr(optimize, "_stationary_laws", singular_at_target)
         got = score_group(*groups[0])
         assert sum(hits) == 1 and len(occupations) == 1
-        assert got[g, a] == optimize._class_gain(rows, start_by_action, j_by_action,
+        assert got[g, a] == optimize._class_gain(band, start_by_action, j_by_action,
                                                  choices[g], a, e0)
         got[g, a] = want[g, a]
         assert np.array_equal(got, want)
@@ -989,7 +1019,7 @@ class TestSearchPartitionPolicy:
                 bounds = upper_bounds(step, v, (1, 5, 10, 20))
                 assert all(b <= a + 1e-12 * abs(a) for a, b in zip(bounds, bounds[1:]))
                 gain = optimize._class_gain(*(caller[name] for name in (
-                    "rows", "start_by_action", "j_by_action", "choice_e")), 0, caller["e0"])
+                    "band", "start_by_action", "j_by_action", "choice_e")), 0, caller["e0"])
                 assert all(bound >= gain for bound in bounds)
                 checked += 1
         assert checked
